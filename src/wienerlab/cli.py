@@ -39,26 +39,6 @@ from .weights import grs_limit, weight_from_json
 __all__ = ["main"]
 
 
-def _apply_thread_cap():
-    """WIENERLAB_THREADS caps internal parallelism; 0 or unset = auto."""
-    val = os.environ.get("WIENERLAB_THREADS")
-    if not val:
-        return
-    try:
-        n = int(val)
-    except ValueError:
-        raise ValueError(f"WIENERLAB_THREADS must be an integer, got {val!r}")
-    if n <= 0:
-        return
-    try:
-        from threadpoolctl import threadpool_limits
-
-        threadpool_limits(limits=n)
-    except ImportError:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, str(n))
-
-
 # -- deterministic JSON -------------------------------------------------------
 
 
@@ -101,25 +81,19 @@ def _write_json(path, obj):
 
 
 def _sidecar_path(out):
+    """<out stem>.report.json; None when out is standard output (None or "-")."""
+    if out in (None, "-"):
+        return None
     root, _ = os.path.splitext(out)
     return root + ".report.json"
 
 
-def _load_filter(arg):
-    """Filter from an inline JSON string or a file path."""
-    text = arg
+def _load_json(arg, parse):
+    """parse() of an inline JSON string or of the file at path arg."""
     if not arg.lstrip().startswith("{"):
         with open(arg) as fh:
-            text = fh.read()
-    return filter_from_json(text)
-
-
-def _load_weight(arg):
-    text = arg
-    if not arg.lstrip().startswith("{"):
-        with open(arg) as fh:
-            text = fh.read()
-    return weight_from_json(text)
+            arg = fh.read()
+    return parse(arg)
 
 
 def _certificate_json(cert):
@@ -144,22 +118,22 @@ def _decay_json(report):
 
 
 def _cmd_invert(args):
-    h = _load_filter(args.filter)
+    h = _load_json(args.filter, filter_from_json)
     cert = min_modulus_certified(h)
     g = invert_stable(h, tail_tol=args.tol, window_radius=args.radius, certificate=cert)
-    verify = max(args.radius - _extent(h), 0)
+    verify = max(args.radius - h.support.extent, 0)
     report = {
         "residual": residual_sup(h, g, verify),
         "certificate": _certificate_json(cert),
         "decay": _decay_json(decay_fit(g)),
     }
     _write_json(args.out, filter_to_json(g))
-    _write_json(_sidecar_path(args.out) if args.out not in (None, "-") else None, report)
+    _write_json(_sidecar_path(args.out), report)
     return 0
 
 
 def _cmd_invert_singular(args):
-    h = _load_filter(args.filter)
+    h = _load_json(args.filter, filter_from_json)
     seq = invert_singular_1d(h, args.radius, residual_tol=args.tol)
     report = {
         "residual": seq.residual,
@@ -168,12 +142,12 @@ def _cmd_invert_singular(args):
         "decay": _decay_json(decay_fit(seq)),
     }
     _write_json(args.out, filter_to_json(seq.to_filter()))
-    _write_json(_sidecar_path(args.out) if args.out not in (None, "-") else None, report)
+    _write_json(_sidecar_path(args.out), report)
     return 0
 
 
 def _cmd_grs_check(args):
-    w = _load_weight(args.weight)
+    w = _load_json(args.weight, weight_from_json)
     k = [int(x) for x in args.k.split(",")]
     est = grs_limit(w, k, args.m_max)
     _write_json(
@@ -189,7 +163,7 @@ def _cmd_grs_check(args):
 
 
 def _cmd_symbol_min(args):
-    h = _load_filter(args.filter)
+    h = _load_json(args.filter, filter_from_json)
     cert = min_modulus_certified(h, target_gap=args.target_gap)
     _write_json(args.out, _certificate_json(cert))
     return 0
@@ -249,7 +223,7 @@ def _cmd_reproduce(args):
 
 
 def _cmd_decay_fit(args):
-    g = _load_filter(args.filter)
+    g = _load_json(args.filter, filter_from_json)
     report = decay_fit(g)
     _write_json(
         args.out,
@@ -278,12 +252,6 @@ def _cmd_lemma_check(args):
         },
     )
     return 0
-
-
-def _extent(h):
-    return max(
-        max(abs(o), abs(o + s - 1)) for o, s in zip(h.origin, h.coeffs.shape)
-    )
 
 
 class _Parser(argparse.ArgumentParser):
@@ -365,7 +333,6 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_thread_cap()
         return args.func(args)
     except MathError as exc:
         diag = {"error": type(exc).__name__, "message": str(exc)}

@@ -25,8 +25,8 @@ from .errors import (
     ToleranceUnreachableError,
     WrongBranchError,
 )
-from .lattice import Box, Filter, convolve, kronecker
-from .spectrum import GRID_POINT_CAP, min_modulus_certified
+from .lattice import GRID_POINT_CAP, Box, Filter, convolve, kronecker
+from .spectrum import min_modulus_certified
 
 __all__ = [
     "toeplitz_oracle",
@@ -46,36 +46,23 @@ FFT_GRID_START = 128
 FFT_GRID_CAP = 2**16
 
 
-def _support_extent(h):
-    """Max |k|_inf over the support of h."""
-    box = h.support
-    return max(
-        max(abs(o), abs(o + s - 1)) for o, s in zip(box.origin, box.shape)
-    )
-
-
 def residual_sup(h, g, radius):
     """sup over the box of radius `radius` of |(h*g - delta)[k]|."""
-    conv = convolve(h, g)
-    delta = kronecker(h.dim)
-    lo = tuple(-radius for _ in range(h.dim))
-    shape = (2 * radius + 1,) * h.dim
-    buf = np.zeros(shape, dtype=conv.coeffs.dtype)
-    # overlap of conv's support with the verification box
-    for arr, sign in ((conv, 1.0), (delta, -1.0)):
-        src_lo = [max(o, l) for o, l in zip(arr.origin, lo)]
-        src_hi = [
-            min(o + s, l + n)
-            for o, s, l, n in zip(arr.origin, arr.coeffs.shape, lo, shape)
-        ]
-        if any(a >= b for a, b in zip(src_lo, src_hi)):
-            continue
-        src = tuple(
-            slice(a - o, b - o) for a, b, o in zip(src_lo, src_hi, arr.origin)
+    return _residual_on(h, g, Box((-radius,) * h.dim, (2 * radius + 1,) * h.dim))
+
+
+def _residual_on(h, g, box):
+    """sup over `box` of |(h*g - delta)[k]|."""
+    return float(np.max(np.abs(convolve(h, g).on_box(box) - kronecker(h.dim).on_box(box))))
+
+
+def _require_certified(h, certificate):
+    """NotInvertibleError unless the given (or a fresh) certificate is certified."""
+    cert = certificate if certificate is not None else min_modulus_certified(h)
+    if cert.status != "certified":
+        raise NotInvertibleError(
+            f"symbol not certified invertible (status {cert.status})", cert
         )
-        dst = tuple(slice(a - l, b - l) for a, b, l in zip(src_lo, src_hi, lo))
-        buf[dst] += sign * arr.coeffs[src]
-    return float(np.max(np.abs(buf)))
 
 
 # -- brute-force oracle -------------------------------------------------------
@@ -88,14 +75,10 @@ def toeplitz_oracle(h, window_radius, certificate=None):
     the box enlarged by the support extent of h (overdetermined), solved
     by least squares. Independent of the FFT and root-based routes.
     """
-    cert = certificate if certificate is not None else min_modulus_certified(h)
-    if cert.status != "certified":
-        raise NotInvertibleError(
-            f"symbol not certified invertible (status {cert.status})", cert
-        )
+    _require_certified(h, certificate)
     d = h.dim
     W = int(window_radius)
-    s = _support_extent(h)
+    s = h.support.extent
     col_box = Box((-W,) * d, (2 * W + 1,) * d)
     row_box = Box((-W - s,) * d, (2 * (W + s) + 1,) * d)
     cols = col_box.indices()
@@ -134,24 +117,17 @@ def invert_stable(h, tail_tol=1e-10, window_radius=40, certificate=None):
     periodized inverse, windows it to window_radius, and doubles N until
     sup |(h*g - delta)[k]| over the verification box is <= tail_tol.
     """
-    cert = certificate if certificate is not None else min_modulus_certified(h)
-    if cert.status != "certified":
-        raise NotInvertibleError(
-            f"symbol not certified invertible (status {cert.status})", cert
-        )
+    _require_certified(h, certificate)
     d = h.dim
     W = int(window_radius)
-    s = _support_extent(h)
+    s = h.support.extent
     verify_radius = max(W - s, 0)
     N = FFT_GRID_START
     while N < 2 * W + 2:
         N *= 2
     best = np.inf
     while True:
-        grid = np.zeros((N,) * d, dtype=complex)
-        for k, c in zip(h.indices(), h.coeffs.ravel()):
-            grid[tuple(int(x) % N for x in k)] += c
-        ghat = 1.0 / np.fft.fftn(grid)
+        ghat = 1.0 / np.fft.fftn(h.on_torus(N))
         gper = np.fft.ifftn(ghat)
         idx = np.arange(-W, W + 1) % N
         g = gper[np.ix_(*([idx] * d))]
@@ -263,18 +239,6 @@ class ExactInverse1D:
     decay_rate: float
     k_max: int
     real_output: bool
-
-    @property
-    def inner_roots(self):
-        return [r for r, _, _ in self.inner]
-
-    @property
-    def outer_roots(self):
-        return [r for r, _, _ in self.outer]
-
-    @property
-    def residues(self):
-        return [a for _, _, parts in self.inner + self.outer for a in parts]
 
     def evaluate(self, ks):
         """g[k] for an integer array ks."""
@@ -430,14 +394,15 @@ def invert_singular_1d(h, window_radius, residual_tol=1e-9):
             g_part = convolve(g_part, cf)
     g_part = g_part.real_if_close() if is_real else g_part
 
-    # crop to [-w_neg, W]
-    ks = np.arange(-w_neg, W + 1)
-    vals = np.array([g_part.coeff_at((k,)) for k in ks])
-    g = Filter((-w_neg,), vals)
+    window = Box((-w_neg,), (W + w_neg + 1,))
+    vals = g_part.on_box(window)
+    g = Filter(window.origin, vals)
 
     deg = k_max - k_min
-    verify_radius = max(min(w_neg, W) - deg, 0)
-    resid = residual_sup(h, g, verify_radius) if w_neg > 0 else _causal_residual(h, g, W - deg)
+    if w_neg > 0:
+        resid = residual_sup(h, g, max(min(w_neg, W) - deg, 0))
+    else:  # one-sided window: verify its causal interior [0, W - deg]
+        resid = _residual_on(h, g, Box((0,), (W - deg + 1,))) if W >= deg else 0.0
     if resid > residual_tol:
         raise ToleranceUnreachableError(
             f"singular-inverse residual {resid:.3e} > {residual_tol:.1e}",
@@ -445,10 +410,10 @@ def invert_singular_1d(h, window_radius, residual_tol=1e-9):
         )
 
     n = m_tot - 1
-    growth = (1.0 + np.abs(ks)) ** n
+    growth = (1.0 + np.abs(window.indices().ravel())) ** n
     C = float(np.max(np.abs(vals) / growth))
     return SlowGrowthSeq(
-        window=Box((-w_neg,), (len(ks),)),
+        window=window,
         values=vals,
         growth_order=n,
         bound_constant=C,
@@ -461,14 +426,6 @@ def _snap_unit(r):
     if abs(r.imag) < 1e-7:
         r = complex(1.0 if r.real > 0 else -1.0, 0.0)
     return r
-
-
-def _causal_residual(h, g, upper):
-    """sup over 0 <= k <= upper of |(h*g - delta)[k]| for one-sided windows."""
-    conv = convolve(h, g)
-    delta = kronecker(1)
-    vals = np.array([conv.coeff_at((k,)) - delta.coeff_at((k,)) for k in range(upper + 1)])
-    return float(np.max(np.abs(vals))) if len(vals) else 0.0
 
 
 # -- decay classification -----------------------------------------------------

@@ -27,6 +27,8 @@ __all__ = [
 # Supports up to this many points use the direct double sum; larger ones
 # go through the FFT path (both agree to 1e-10 relative, see tests).
 DIRECT_CONVOLUTION_CUTOFF = 4096
+# Total-grid-point ceiling so multidimensional sweeps cannot exhaust memory.
+GRID_POINT_CAP = 2**26
 
 
 @dataclass(frozen=True)
@@ -53,6 +55,11 @@ class Box:
     @property
     def size(self):
         return int(np.prod(self.shape))
+
+    @property
+    def extent(self):
+        """Max |k|_inf over the box."""
+        return max(max(abs(o), abs(o + s - 1)) for o, s in zip(self.origin, self.shape))
 
     def contains(self, k):
         k = tuple(int(x) for x in k)
@@ -87,6 +94,8 @@ class Filter:
             )
         if coeffs.ndim < 1:
             raise ValueError("dimension must be >= 1")
+        if not np.all(np.isfinite(coeffs)):
+            raise ValueError("coefficients must be finite (got NaN or inf)")
         origin, coeffs = _trim(origin, coeffs)
         coeffs = coeffs.copy()
         coeffs.setflags(write=False)
@@ -117,6 +126,30 @@ class Filter:
 
     def indices(self):
         return self.support.indices()
+
+    def on_box(self, box):
+        """Dense array of h over `box`, zero outside the support."""
+        out = np.zeros(box.shape, dtype=self.coeffs.dtype)
+        lo = [max(o, b) for o, b in zip(self.origin, box.origin)]
+        hi = [min(o + s, b + n) for o, s, b, n in zip(self.origin, self.coeffs.shape, box.origin, box.shape)]
+        if all(a < z for a, z in zip(lo, hi)):
+            dst = tuple(slice(a - b, z - b) for a, z, b in zip(lo, hi, box.origin))
+            src = tuple(slice(a - o, z - o) for a, z, o in zip(lo, hi, self.origin))
+            out[dst] = self.coeffs[src]
+        return out
+
+    def on_torus(self, N):
+        """h folded onto (Z/N)^d: grid[j] = sum of h[k] over k = j mod N.
+
+        The grid keeps the filter's dtype. Raises ValueError before
+        allocating when N^d exceeds GRID_POINT_CAP.
+        """
+        if N**self.dim > GRID_POINT_CAP:
+            raise ValueError(f"grid {N}^{self.dim} exceeds {GRID_POINT_CAP} points")
+        grid = np.zeros((N,) * self.dim, dtype=self.coeffs.dtype)
+        flat = np.ravel_multi_index(tuple(self.indices().T), grid.shape, mode="wrap")
+        np.add.at(grid.reshape(-1), flat, self.coeffs.ravel())
+        return grid
 
     def real_if_close(self, tol=1e-9):
         if not self.is_complex:
@@ -255,14 +288,8 @@ def sup_difference(a, b):
         max(oa + sa, ob + sb)
         for oa, sa, ob, sb in zip(a.origin, a.coeffs.shape, b.origin, b.coeffs.shape)
     )
-    shape = tuple(h - l for l, h in zip(lo, hi))
-    dtype = np.result_type(a.coeffs.dtype, b.coeffs.dtype)
-    buf = np.zeros(shape, dtype=dtype)
-    sla = tuple(slice(o - l, o - l + s) for o, l, s in zip(a.origin, lo, a.coeffs.shape))
-    slb = tuple(slice(o - l, o - l + s) for o, l, s in zip(b.origin, lo, b.coeffs.shape))
-    buf[sla] += a.coeffs
-    buf[slb] -= b.coeffs
-    return float(np.max(np.abs(buf)))
+    box = Box(lo, tuple(h - l for l, h in zip(lo, hi)))
+    return float(np.max(np.abs(a.on_box(box) - b.on_box(box))))
 
 
 # -- JSON format (shared with the CLI) ---------------------------------------

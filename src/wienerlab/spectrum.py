@@ -13,6 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
+from .lattice import GRID_POINT_CAP
+
 __all__ = [
     "Symbol",
     "symbol_eval",
@@ -25,8 +27,6 @@ __all__ = [
 
 GRID_START = 64
 GRID_CAP = 2**16
-# Total-grid-point ceiling so multidimensional sweeps cannot exhaust memory.
-GRID_POINT_CAP = 2**26
 
 
 class Symbol:
@@ -76,17 +76,6 @@ class ModulusCertificate:
     status: str  # "certified" | "likely-singular" | "inconclusive"
 
 
-def _modulus_on_grid(h, N):
-    """|hhat| at omega = 2 pi j / N per axis, via the N-point DFT."""
-    d = h.dim
-    grid = np.zeros((N,) * d, dtype=h.coeffs.dtype)
-    ks = h.indices()
-    for k, c in zip(ks, h.coeffs.ravel()):
-        idx = tuple(int(x) % N for x in k)
-        grid[idx] += c
-    return np.abs(np.fft.fftn(grid))
-
-
 def min_modulus_certified(h, target_gap=1e-9):
     """Double the sweep grid until |hhat| is certified positive or a
     likely-singular point is found.
@@ -102,7 +91,7 @@ def min_modulus_certified(h, target_gap=1e-9):
     N = GRID_START
     cert = None
     while True:
-        mods = _modulus_on_grid(h, N)
+        mods = np.abs(np.fft.fftn(h.on_torus(N)))
         flat_arg = int(np.argmin(mods))
         idx = np.unravel_index(flat_arg, mods.shape)
         grid_min = float(mods[idx])

@@ -62,6 +62,14 @@ class TestInvert:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("command", ["invert", "symbol-min"])
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+    def test_non_finite_coefficient_exits_1(self, tmp_path, capsys, command, bad):
+        text = '{"dim": 1, "origin": [0], "shape": [3], "coeffs": [1.0, %s, 0.5]}' % bad
+        code, _, err = run(capsys, command, "--filter", text, "--out", str(tmp_path / "x.json"))
+        assert code == 1
+        assert "finite" in err
+
     def test_usage_failure_exits_1(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["invert", "--no-such-flag"])
@@ -148,15 +156,3 @@ class TestSplineLagrange:
         loaded = filter_from_json(first.read_text())
         assert _json_text(filter_to_json(loaded)) + "\n" == first.read_text()
 
-
-class TestThreadCap:
-    def test_invalid_env_rejected(self, capsys, monkeypatch):
-        monkeypatch.setenv("WIENERLAB_THREADS", "many")
-        code, _, err = run(capsys, "lemma-check", "--c", "1.0")
-        assert code == 1
-        assert "WIENERLAB_THREADS" in err
-
-    def test_cap_applied(self, capsys, monkeypatch):
-        monkeypatch.setenv("WIENERLAB_THREADS", "1")
-        code, out, _ = run(capsys, "lemma-check", "--c", "1.0")
-        assert code == 0

@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wienerlab import (
+    Box,
     Filter,
+    ModulusCertificate,
     NotInvertibleError,
     SingularSymbolError,
     ToleranceUnreachableError,
@@ -136,6 +138,13 @@ class TestInvertStable:
         with pytest.raises(ToleranceUnreachableError) as exc:
             invert_stable(cubic(), tail_tol=1e-18, window_radius=12)
         assert exc.value.best_residual > 1e-18
+
+    def test_grid_cap_checked_before_first_grid(self):
+        # a certified d=4 filter would start on a 128^4 grid (4 GiB complex)
+        h = Filter((0,) * 4, np.full((2,) * 4, 0.05))
+        cert = ModulusCertificate(64, 1.0, 0.5, (0.0,) * 4, "certified")
+        with pytest.raises(ValueError, match="exceeds"):
+            invert_stable(h, window_radius=4, certificate=cert)
 
     def test_2d_separable(self):
         line = np.array([1.0, 4.0, 1.0]) / 6.0

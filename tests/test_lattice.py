@@ -14,6 +14,7 @@ from wienerlab import (
     filter_to_json,
     kronecker,
     polynomial_weight,
+    residual_sup,
     sup_difference,
     weighted_norm,
 )
@@ -60,6 +61,11 @@ class TestFilter:
             a.origin = (1,)
         with pytest.raises(ValueError):
             a.coeffs[0] = 2.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1.0, np.nan)])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Filter((0,), np.array([1.0, bad]))
 
     def test_coeff_at_outside_support(self):
         a = Filter((0,), [1.0, 2.0])
@@ -117,6 +123,100 @@ class TestConvolve:
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
             convolve(kronecker(1), kronecker(2))
+
+
+@st.composite
+def filters(draw, dim=None):
+    """Random dense filter: d = 1..3, origin within +-40, real or complex."""
+    d = dim or draw(st.integers(1, 3))
+    shape = tuple(draw(st.integers(1, 7 - 2 * (d - 1))) for _ in range(d))
+    origin = tuple(draw(st.integers(-40, 40)) for _ in range(d))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c = rng.standard_normal(shape)
+    if draw(st.booleans()):
+        c = c + 1j * rng.standard_normal(shape)
+    return Filter(origin, c)
+
+
+def boxes(dim):
+    return st.builds(
+        Box,
+        st.tuples(*[st.integers(-48, 48)] * dim),
+        st.tuples(*[st.integers(1, 12)] * dim),
+    )
+
+
+# Loop references: one coeff_at call per index, one % N per coefficient.
+
+
+def box_reference(h, box):
+    out = np.zeros(box.shape, dtype=h.coeffs.dtype)
+    for k in box.indices():
+        out[tuple(k - np.asarray(box.origin))] = h.coeff_at(k)
+    return out
+
+
+def torus_reference(h, N):
+    out = np.zeros((N,) * h.dim, dtype=h.coeffs.dtype)
+    for k, c in zip(h.indices(), h.coeffs.ravel()):
+        out[tuple(int(x) % N for x in k)] += c
+    return out
+
+
+def sup_reference(a, b, box):
+    diff = np.array([a.coeff_at(k) - b.coeff_at(k) for k in box.indices()])
+    return float(np.max(np.abs(diff)))
+
+
+class TestGridViews:
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_on_box_matches_loop(self, data):
+        h = data.draw(filters())
+        box = data.draw(boxes(h.dim))
+        got = h.on_box(box)
+        assert got.dtype == h.coeffs.dtype
+        np.testing.assert_array_equal(got, box_reference(h, box))
+
+    def test_on_box_disjoint_is_zero(self):
+        h = Filter((5, -3), np.ones((2, 2)))
+        np.testing.assert_array_equal(h.on_box(Box((0, 0), (3, 3))), np.zeros((3, 3)))
+
+    @given(filters(), st.integers(1, 9))
+    @settings(max_examples=80, deadline=None)
+    def test_on_torus_matches_loop(self, h, N):
+        # supports up to 7 wide on grids down to N = 1 exercise fold collisions
+        got = h.on_torus(N)
+        assert got.dtype == h.coeffs.dtype
+        np.testing.assert_array_equal(got, torus_reference(h, N))
+
+    def test_on_torus_cap_checked_before_allocation(self):
+        h = Filter((0,) * 5, np.ones((2,) * 5))
+        with pytest.raises(ValueError, match="exceeds"):
+            h.on_torus(64)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_sup_difference_matches_loop(self, data):
+        a = data.draw(filters())
+        b = data.draw(filters(dim=a.dim))
+        lo = tuple(min(x, y) for x, y in zip(a.origin, b.origin))
+        hi = tuple(
+            max(x + s, y + t)
+            for x, s, y, t in zip(a.origin, a.coeffs.shape, b.origin, b.coeffs.shape)
+        )
+        union = Box(lo, tuple(h - l for l, h in zip(lo, hi)))
+        assert sup_difference(a, b) == sup_reference(a, b, union)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_residual_sup_matches_loop(self, data):
+        h = data.draw(filters())
+        g = data.draw(filters(dim=h.dim))
+        radius = data.draw(st.integers(0, {1: 45, 2: 12, 3: 5}[h.dim]))
+        box = Box((-radius,) * h.dim, (2 * radius + 1,) * h.dim)
+        conv = convolve(h, g)
+        assert residual_sup(h, g, radius) == sup_reference(conv, kronecker(h.dim), box)
 
 
 class TestNorms:

@@ -90,6 +90,11 @@ class TestModulusCertificate:
         with pytest.raises(ValueError):
             min_modulus_certified(Filter((0,), [0.0]))
 
+    def test_grid_cap_checked_before_first_sweep(self):
+        # the first grid, 64^5 points, is over the cap
+        with pytest.raises(ValueError, match="exceeds"):
+            min_modulus_certified(Filter((0,) * 5, np.full((2,) * 5, 0.1)))
+
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)
     def test_bound_sandwich(self, seed):

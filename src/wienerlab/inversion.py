@@ -351,6 +351,8 @@ def invert_singular_1d(h, window_radius, residual_tol=1e-9):
     each unit factor as the one-sided (causal) modulated cumulative sum.
     The composition is the causal representative of the non-unique
     slow-growth inverse; it satisfies h*g = delta on the window interior.
+    The window sits about index 0 for a filter at origin 0 and moves by
+    -origin with the filter.
     """
     clusters, k_max, coeffs = _classify_roots(h)
     unit = [(r, m) for r, m in clusters if abs(abs(r) - 1.0) < UNIT_CIRCLE_TOL]
@@ -362,7 +364,10 @@ def invert_singular_1d(h, window_radius, residual_tol=1e-9):
     unit = [(_snap_unit(r), m) for r, m in unit]
     stable = [(r, m) for r, m in clusters if abs(abs(r) - 1.0) >= UNIT_CIRCLE_TOL]
     m_tot = sum(m for _, m in unit)
+    # h = delta_{k_min} * h0 with h0 at origin 0: invert h0, move by -k_min
     k_min = h.origin[0]
+    deg = k_max - k_min
+    h0 = Filter((0,), coeffs)
     is_real = h.coeffs.dtype.kind != "c"
 
     # stable polynomial Q_s(z) = gain * prod_stable (z - r)
@@ -370,7 +375,7 @@ def invert_singular_1d(h, window_radius, residual_tol=1e-9):
     qs = np.atleast_1d(np.asarray(np.poly(stable_roots), dtype=complex)) * coeffs[0]
     if is_real and np.max(np.abs(qs.imag)) <= 1e-9 * max(1.0, np.max(np.abs(qs))):
         qs = qs.real
-    h_stable = Filter((k_min,), qs)
+    h_stable = Filter((0,), qs)
 
     # exact inverse of the stable part, windowed wide enough that the
     # dropped tail is below double-precision significance on the window
@@ -381,7 +386,7 @@ def invert_singular_1d(h, window_radius, residual_tol=1e-9):
         g_part = exact.to_filter(W + w_neg)
     else:
         w_neg = 0
-        g_part = Filter((-k_min,), np.array([1.0]) / qs[0])
+        g_part = Filter((0,), np.array([1.0]) / qs[0])
 
     # causal inverses of the unit factors: (1 - u z^{-1})^{-1} = sum u^m z^{-m}
     length = W + w_neg + 1
@@ -398,11 +403,10 @@ def invert_singular_1d(h, window_radius, residual_tol=1e-9):
     vals = g_part.on_box(window)
     g = Filter(window.origin, vals)
 
-    deg = k_max - k_min
     if w_neg > 0:
-        resid = residual_sup(h, g, max(min(w_neg, W) - deg, 0))
+        resid = residual_sup(h0, g, max(min(w_neg, W) - deg, 0))
     else:  # one-sided window: verify its causal interior [0, W - deg]
-        resid = _residual_on(h, g, Box((0,), (W - deg + 1,))) if W >= deg else 0.0
+        resid = _residual_on(h0, g, Box((0,), (W - deg + 1,))) if W >= deg else 0.0
     if resid > residual_tol:
         raise ToleranceUnreachableError(
             f"singular-inverse residual {resid:.3e} > {residual_tol:.1e}",
@@ -410,10 +414,11 @@ def invert_singular_1d(h, window_radius, residual_tol=1e-9):
         )
 
     n = m_tot - 1
-    growth = (1.0 + np.abs(window.indices().ravel())) ** n
+    moved = Box((window.origin[0] - k_min,), window.shape)
+    growth = (1.0 + np.abs(moved.indices().ravel())) ** n
     C = float(np.max(np.abs(vals) / growth))
     return SlowGrowthSeq(
-        window=window,
+        window=moved,
         values=vals,
         growth_order=n,
         bound_constant=C,

@@ -53,6 +53,8 @@ def bspline_value(degree, x):
         raise ValueError(f"degree must be in [0, {MAX_BSPLINE_DEGREE}]")
     xf = Fraction(x)
     half_sup = Fraction(n + 1, 2)
+    if n == 0 and abs(xf) == half_sup:
+        return 0.5  # the midpoint at the box's jumps keeps partition of unity
     if xf <= -half_sup or xf >= half_sup:
         return 0.0
     total = Fraction(0)

@@ -229,6 +229,23 @@ class TestSingular1D:
             np.abs(seq.values) <= seq.bound_constant * (1 + np.abs(ks)) ** seq.growth_order + 1e-12
         )
 
+    @pytest.mark.parametrize(
+        "coeffs", [[1.0, -1.0], [1.0, -2.0, 1.0], [1.0, -1.5, 0.5]], ids=["diff", "diff2", "diff-stable"]
+    )
+    @pytest.mark.parametrize("origin", range(-4, 5))
+    def test_shift_covariant(self, coeffs, origin):
+        # h at `origin` is h at 0 moved by origin, so its inverse is the
+        # origin-0 inverse moved by -origin
+        base = invert_singular_1d(Filter((0,), coeffs), 30)
+        seq = invert_singular_1d(Filter((origin,), coeffs), 30)
+        assert seq.residual <= 1e-9
+        assert seq.window == Box((base.window.origin[0] - origin,), base.window.shape)
+        np.testing.assert_array_equal(seq.values, base.values)
+        ks = seq.window.indices().ravel()
+        assert np.all(
+            np.abs(seq.values) <= seq.bound_constant * (1 + np.abs(ks)) ** seq.growth_order * (1 + 1e-12)
+        )
+
     def test_stable_filter_raises_wrong_branch(self):
         with pytest.raises(WrongBranchError):
             invert_singular_1d(cubic(), 20)

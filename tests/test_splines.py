@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wienerlab import (
@@ -30,6 +30,7 @@ class TestBsplineValue:
         assert bspline_value(0, 0.0) == 1.0
         assert bspline_value(0, 0.49) == 1.0
         assert bspline_value(0, 0.51) == 0.0
+        assert bspline_value(0, 0.5) == bspline_value(0, -0.5) == 0.5
 
     def test_degree1_hat(self):
         assert bspline_value(1, 0.0) == 1.0
@@ -55,6 +56,7 @@ class TestBsplineValue:
             assert v == 0.0
 
     @given(st.integers(0, 9), st.floats(-4, 4, allow_nan=False))
+    @example(0, 0.5)
     @settings(max_examples=60, deadline=None)
     def test_partition_of_unity(self, n, x):
         total = sum(bspline_value(n, x - k) for k in range(-10, 11))

@@ -82,22 +82,13 @@ def toeplitz_oracle(h, window_radius, certificate=None):
     col_box = Box((-W,) * d, (2 * W + 1,) * d)
     row_box = Box((-W - s,) * d, (2 * (W + s) + 1,) * d)
     cols = col_box.indices()
-    rows = row_box.indices()
-    n_rows, n_cols = len(rows), len(cols)
-    A = np.zeros((n_rows, n_cols), dtype=h.coeffs.dtype)
-    row_shape = row_box.shape
-    row_origin = np.asarray(row_box.origin)
-
-    def row_flat(ks):
-        rel = ks - row_origin
-        return np.ravel_multi_index(rel.T, row_shape)
-
+    A = np.zeros((row_box.size, len(cols)), dtype=h.coeffs.dtype)
     for k, c in zip(h.indices(), h.coeffs.ravel()):
         if c == 0:
             continue
-        A[row_flat(cols + k), np.arange(n_cols)] += c
-    b = np.zeros(n_rows, dtype=h.coeffs.dtype)
-    b[row_flat(np.zeros((1, d), dtype=int))] = 1.0
+        rows = np.ravel_multi_index(tuple((cols + k - row_box.origin).T), row_box.shape)
+        A[rows, np.arange(len(cols))] += c
+    b = kronecker(d).on_box(row_box).ravel()
     sol, _, rank, sv = np.linalg.lstsq(A, b, rcond=None)
     if sv[-1] < 1e-12 * sv[0]:
         raise SingularSystemError(

@@ -283,12 +283,9 @@ def sup_difference(a, b):
     """sup_k |a[k] - b[k]| over the union of supports."""
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
-    lo = tuple(min(oa, ob) for oa, ob in zip(a.origin, b.origin))
-    hi = tuple(
-        max(oa + sa, ob + sb)
-        for oa, sa, ob, sb in zip(a.origin, a.coeffs.shape, b.origin, b.coeffs.shape)
-    )
-    box = Box(lo, tuple(h - l for l, h in zip(lo, hi)))
+    lo = np.minimum(a.origin, b.origin)
+    hi = np.maximum(np.add(a.origin, a.coeffs.shape), np.add(b.origin, b.coeffs.shape))
+    box = Box(lo, hi - lo)
     return float(np.max(np.abs(a.on_box(box) - b.on_box(box))))
 
 

@@ -89,7 +89,6 @@ def min_modulus_certified(h, target_gap=1e-9):
     L = Symbol(h).lipschitz
     d = h.dim
     N = GRID_START
-    cert = None
     while True:
         mods = np.abs(np.fft.fftn(h.on_torus(N)))
         flat_arg = int(np.argmin(mods))

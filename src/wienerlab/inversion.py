@@ -107,6 +107,7 @@ def invert_stable(h, tail_tol=1e-10, window_radius=40, certificate=None):
     Samples 1/hhat on an N^d grid (N doubling), inverse-DFTs to the
     periodized inverse, windows it to window_radius, and doubles N until
     sup |(h*g - delta)[k]| over the verification box is <= tail_tol.
+    A first grid of more than GRID_POINT_CAP points raises ValueError.
     """
     _require_certified(h, certificate)
     d = h.dim

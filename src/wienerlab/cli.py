@@ -192,7 +192,8 @@ def _cmd_spline_lagrange(args):
                 np.max(np.abs(kernel.samples - kf.samples))
             )
     kernel_to_csv(kernel, args.out)
-    _write_json(_sidecar_path(args.out), report)
+    # the CSV always goes to the file args.out (even "-"); the report sits beside it
+    _write_json(os.path.splitext(args.out)[0] + ".report.json", report)
     return 0
 
 

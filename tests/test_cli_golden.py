@@ -8,6 +8,10 @@ after an intended output change with
     PYTHONPATH=src python tests/test_cli_golden.py --record [name ...]
 
 (no names: every case) and name the changed cases in the commit.
+
+Floats are written with 17 significant digits, so the bytes depend on the
+numerical libraries: the file was recorded with numpy 2.4.6 and scipy
+1.17.1 on Python 3.11, the versions the CI workflow pins.
 """
 
 import contextlib
@@ -56,6 +60,7 @@ CASES = {
     "spline-space": ["spline-lagrange", "--degree", "4", "--grid-step", "0.25", "--K", "16", "--out", "k.csv"],
     "spline-both": ["spline-lagrange", "--degree", "3", "--route", "both", "--grid-step", "0.25", "--K", "16", "--out", "k.csv"],
     "spline-fourier": ["spline-lagrange", "--degree", "5", "--route", "fourier", "--grid-step", "0.25", "--K", "16", "--out", "k.csv"],
+    "spline-out-dash": ["spline-lagrange", "--degree", "3", "--grid-step", "0.5", "--K", "16", "--out", "-"],
     "spline-green2-exit2": [
         "spline-lagrange", "--generator", '{"kind": "green_power", "params": {"order": 2}}',
         "--route", "fourier", "--out", "k.csv",

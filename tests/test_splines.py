@@ -48,11 +48,14 @@ class TestBsplineValue:
         assert bspline_value(3, 1.5) == 1.0 / 48
 
     @given(st.integers(0, 11), st.floats(-8, 8))
+    @example(0, 0.5)
     @settings(max_examples=100, deadline=None)
     def test_nonnegative_and_supported(self, n, x):
         v = bspline_value(n, x)
         assert v >= 0.0
-        if abs(x) >= (n + 1) / 2:
+        if n == 0 and abs(x) == 0.5:
+            assert v == 0.5  # the midpoint at the box's jumps
+        elif abs(x) >= (n + 1) / 2:
             assert v == 0.0
 
     @given(st.integers(0, 9), st.floats(-4, 4, allow_nan=False))

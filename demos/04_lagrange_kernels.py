@@ -17,8 +17,7 @@ from wienerlab import (
 )
 
 k_space = lagrange_kernel_space(bspline_generator(3), grid_step=1 / 16, K=20)
-k_fourier = lagrange_kernel_fourier(green_power_generator(4), n_trunc=64,
-                                    grid_step=1 / 16, K=20)
+k_fourier = lagrange_kernel_fourier(green_power_generator(4), grid_step=1 / 16, K=20)
 
 diff = np.max(np.abs(k_space.samples - k_fourier.samples))
 print(f"route agreement: sup difference {diff:.2e}")

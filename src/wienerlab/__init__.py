@@ -4,7 +4,6 @@ cardinal-spline interpolation kernels built from them."""
 from .errors import (
     MathError,
     NotInvertibleError,
-    PeriodizationError,
     SingularSymbolError,
     SingularSystemError,
     TailBoundError,
@@ -50,7 +49,6 @@ from .splines import (
     bspline_generator,
     bspline_samples,
     bspline_value,
-    custom_generator,
     generator_from_json,
     green_power_generator,
     interpolate,

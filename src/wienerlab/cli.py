@@ -181,9 +181,7 @@ def _cmd_spline_lagrange(args):
         kernel = lagrange_kernel_space(gen, grid_step=args.grid_step, K=args.K)
         report["decay_space"] = _decay_json(kernel.decay)
     if route in ("fourier", "both"):
-        kf = lagrange_kernel_fourier(
-            gen, n_trunc=args.n_trunc, grid_step=args.grid_step, K=args.K
-        )
+        kf = lagrange_kernel_fourier(gen, grid_step=args.grid_step, K=args.K)
         report["decay_fourier"] = _decay_json(kf.decay)
         if kernel is None:
             kernel = kf
@@ -301,7 +299,6 @@ def _build_parser():
     p.add_argument("--route", choices=["space", "fourier", "both"], default="space")
     p.add_argument("--grid-step", type=float, default=1.0 / 16)
     p.add_argument("--K", type=int, default=20)
-    p.add_argument("--n-trunc", type=int, default=64)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_spline_lagrange)
 

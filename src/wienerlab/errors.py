@@ -46,10 +46,6 @@ class SingularSystemError(MathError):
         self.smallest_singular_value = smallest_singular_value
 
 
-class PeriodizationError(MathError):
-    """Periodized symbol did not converge at the requested truncation."""
-
-
 class TailBoundError(MathError):
     """Reproduction-sum tail estimate exceeds the requested tolerance."""
 

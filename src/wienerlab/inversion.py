@@ -372,6 +372,11 @@ def invert_singular_1d(h, window_radius, residual_tol=1e-9):
     # exact inverse of the stable part, windowed wide enough that the
     # dropped tail is below double-precision significance on the window
     W = int(window_radius)
+    if len(qs) == 1 and W < deg:
+        raise ValueError(
+            f"window_radius {W} is below the filter's degree {deg}: "
+            "the one-sided inverse would have no index to verify"
+        )
     if len(qs) > 1:
         exact = invert_exact_1d(h_stable)
         w_neg = min(max(W, int(np.ceil(40.0 / max(exact.decay_rate, 1e-3)))), 20 * W)
@@ -398,7 +403,7 @@ def invert_singular_1d(h, window_radius, residual_tol=1e-9):
     if w_neg > 0:
         resid = residual_sup(h0, g, max(min(w_neg, W) - deg, 0))
     else:  # one-sided window: verify its causal interior [0, W - deg]
-        resid = _residual_on(h0, g, Box((0,), (W - deg + 1,))) if W >= deg else 0.0
+        resid = _residual_on(h0, g, Box((0,), (W - deg + 1,)))
     if resid > residual_tol:
         raise ToleranceUnreachableError(
             f"singular-inverse residual {resid:.3e} > {residual_tol:.1e}",

@@ -4,8 +4,11 @@ The Lagrange (interpolation) kernel of a generator phi is
 phi_int(x) = sum_k h[k] phi(x - k), with h the discrete convolution
 inverse of the integer samples phi[.]. Two independent construction
 routes are provided: the space-domain assembly above, and the
-Fourier-domain periodization phihat_int = phihat / sum_n phihat(. - 2 pi n),
-which also covers slowly increasing Green's-function generators.
+Fourier-domain ratio phihat_int = phihat / sum_n phihat(. - 2 pi n),
+which also covers slowly increasing Green's-function generators. Each
+generator supplies that periodized symbol in closed form: for a B-spline
+it is, by Poisson summation, the cosine polynomial of its integer
+samples; for phihat = |w|^-p it is a sum of two Hurwitz zeta values.
 """
 
 from __future__ import annotations
@@ -16,8 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from scipy.special import zeta
 
-from .errors import PeriodizationError, TailBoundError
+from .errors import TailBoundError
 from .inversion import decay_fit_samples, invert_exact_1d, invert_stable
 from .lattice import Filter, convolve
 from .spectrum import min_modulus_certified
@@ -28,7 +32,6 @@ __all__ = [
     "Generator",
     "bspline_generator",
     "green_power_generator",
-    "custom_generator",
     "LagrangeKernel",
     "lagrange_kernel_space",
     "lagrange_kernel_fourier",
@@ -91,13 +94,15 @@ def bspline_samples(degree, d=1):
 
 @dataclass
 class Generator:
-    """Shift-invariant-space generator: point evaluation and/or symbol."""
+    """Shift-invariant-space generator: its symbol and periodized symbol."""
 
     kind: str
     params: dict
-    space_eval: object = None  # x -> phi(x), vectorized over arrays
-    symbol_eval: object = None  # omega -> phihat(omega), vectorized
-    pole_order: int = 0  # order of the symbol's pole at omega = 0
+    symbol_eval: object  # omega -> phihat(omega), vectorized
+    # w0 -> |w0|^pole_order sum_n phihat(w0 + 2 pi n) on [-pi, pi], exact
+    # and finite at w0 = 0
+    periodized: object
+    pole_order: int  # order of the symbol's pole at omega = 0
 
 
 def bspline_generator(degree):
@@ -105,16 +110,22 @@ def bspline_generator(degree):
     if not 0 <= n <= MAX_BSPLINE_DEGREE:
         raise ValueError(f"degree must be in [0, {MAX_BSPLINE_DEGREE}]")
 
-    def space(xs):
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        return np.array([bspline_value(n, x) for x in xs])
-
     def symbol(omega):
         # sinc^{n+1} form of the centered B-spline transform
         omega = np.asarray(omega, dtype=float)
         return np.sinc(omega / (2.0 * np.pi)) ** (n + 1)
 
-    return Generator("bspline", {"degree": n}, space, symbol, 0)
+    def periodized(omega0):
+        # Poisson summation: sum_n phihat(w + 2 pi n) = sum_k phi(k) e^{-ikw},
+        # a cosine sum because phi is even
+        omega0 = np.asarray(omega0, dtype=float)
+        samples = bspline_samples(n)
+        total = np.zeros_like(omega0)
+        for k, c in zip(samples.indices().ravel(), samples.coeffs):
+            total += c * np.cos(k * omega0)
+        return total
+
+    return Generator("bspline", {"degree": n}, symbol, periodized, 0)
 
 
 def green_power_generator(order=4):
@@ -128,11 +139,14 @@ def green_power_generator(order=4):
         with np.errstate(divide="ignore"):
             return np.abs(omega) ** (-float(p))
 
-    return Generator("green_power", {"order": p}, None, symbol, p)
+    def periodized(omega0):
+        # |w0|^p sum_n |w0 + 2 pi n|^-p = x^p [zeta(p, x) + zeta(p, 1 - x)]
+        # with x = |w0| / 2 pi; zeta(p, x) = x^-p + zeta(p, 1 + x) takes the
+        # n = 0 term out as 1, so w0 = 0 needs no limit
+        x = np.abs(np.asarray(omega0, dtype=float)) / (2.0 * np.pi)
+        return 1.0 + x**p * (zeta(p, 1.0 + x) + zeta(p, 1.0 - x))
 
-
-def custom_generator(space_eval=None, symbol_eval=None, pole_order=0, params=None):
-    return Generator("custom", params or {}, space_eval, symbol_eval, pole_order)
+    return Generator("green_power", {"order": p}, symbol, periodized, p)
 
 
 def generator_from_json(obj):
@@ -145,7 +159,7 @@ def generator_from_json(obj):
         return bspline_generator(int(params["degree"]))
     if kind == "green_power":
         return green_power_generator(int(params.get("order", 4)))
-    raise ValueError(f"unknown generator kind {kind!r} (custom has no JSON form)")
+    raise ValueError(f"unknown generator kind {kind!r}")
 
 
 @dataclass
@@ -201,26 +215,11 @@ def _inverse_filter_for(phi_samples, tail_tol):
 
 def lagrange_kernel_space(gen, grid_step=1.0 / 16, K=20, tail_tol=1e-12):
     """Space-domain Lagrange kernel: phi_int = sum_k h[k] phi(. - k)."""
-    if gen.kind == "bspline":
-        degree = gen.params["degree"]
-        phi_samples = bspline_samples(degree)
-        phi_xs, phi_vals = bspline_grid(degree, grid_step)
-    else:
-        if gen.space_eval is None:
-            raise ValueError("space route needs a point-evaluable generator")
-        # sample the generator until its values drop below tail_tol
-        R = 2
-        while True:
-            if abs(gen.space_eval(np.array([R]))[0]) < tail_tol and R > 8:
-                break
-            R += 2
-        M = int(round(1.0 / grid_step))
-        js = np.arange(-R * M, R * M + 1)
-        phi_xs = js / M
-        phi_vals = gen.space_eval(phi_xs)
-        ks = np.arange(-R, R + 1)
-        phi_samples = Filter((-R,), gen.space_eval(ks.astype(float)))
-
+    if gen.kind != "bspline":
+        raise ValueError("space route needs a B-spline generator")
+    degree = gen.params["degree"]
+    phi_samples = bspline_samples(degree)
+    phi_xs, phi_vals = bspline_grid(degree, grid_step)
     M = int(round(1.0 / grid_step))
     h = _inverse_filter_for(phi_samples, tail_tol)
     hk = h.indices().ravel()
@@ -253,83 +252,28 @@ def lagrange_kernel_space(gen, grid_step=1.0 / 16, K=20, tail_tol=1e-12):
     )
 
 
-def _periodized_symbol(symbol, pole_order, omega0, n_trunc, rel_tol=1e-6):
-    """T(w0) = w0^p * sum_{|n| <= n_trunc} phihat(w0 - 2 pi n), with the
-    pole factored out so the n = 0 term is finite. Raises when the shell
-    terms have not converged at n_trunc."""
-    p = pole_order
-    if p > 0:
-        eps = 1e-5
-        pole_limit = float(np.asarray(symbol(np.array([eps]))).ravel()[0] * eps**p)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            raw = np.abs(omega0) ** p * symbol(omega0)
-        central = np.where(np.abs(omega0) < 1e-14, pole_limit, raw)
-        weight = np.abs(omega0) ** p
-    else:
-        central = symbol(omega0)
-        weight = np.ones_like(omega0)
-    total = np.array(central, dtype=float)
-    last_shell = None
-    for n in range(1, n_trunc + 1):
-        shell = weight * (symbol(omega0 - 2 * np.pi * n) + symbol(omega0 + 2 * np.pi * n))
-        total += shell
-        last_shell = np.max(np.abs(shell))
-    scale = np.min(np.abs(total))
-    if last_shell is None:
-        tail_estimate = 0.0
-    else:
-        # ~algebraic shell decay: tail behaves like (n_trunc / (gamma-1)) terms
-        tail_estimate = last_shell * n_trunc
-    if scale <= 0 or tail_estimate > rel_tol * scale:
-        raise PeriodizationError(
-            f"periodization tail estimate {tail_estimate:.3e} exceeds "
-            f"{rel_tol:.1e} of the symbol scale; increase n_trunc"
-        )
-    return total, tail_estimate
-
-
-def lagrange_kernel_fourier(
-    gen,
-    n_trunc=64,
-    grid_step=1.0 / 16,
-    K=20,
-    freq_oversample=8,
-    periodization_tol=1e-6,
-):
+def lagrange_kernel_fourier(gen, grid_step=1.0 / 16, K=20, freq_oversample=8):
     """Fourier-domain Lagrange kernel via symbol periodization.
 
-    phihat_int(w) = phihat(w) / sum_n phihat(w - 2 pi n); for generators
-    whose symbol has a pole at 0 (Green's functions) the ratio is
-    evaluated in pole-free form w0^p phihat(w) / (w0^p sum ...). Space
+    phihat_int(w) = phihat(w) / sum_n phihat(w - 2 pi n), with the
+    generator's closed-form periodized symbol as denominator; for
+    generators whose symbol has a pole at 0 (Green's functions) the ratio
+    is evaluated in pole-free form w0^p phihat(w) / (w0^p sum ...). Space
     samples come from an FFT quadrature of the inverse transform on a
     frequency grid oversampled by freq_oversample relative to pi/grid_step.
     """
-    symbol = gen.symbol_eval if isinstance(gen, Generator) else gen
-    pole_order = gen.pole_order if isinstance(gen, Generator) else 0
-    if symbol is None:
-        raise ValueError("Fourier route needs a symbol-evaluable generator")
     M = int(round(1.0 / grid_step))
     Mf = M * int(freq_oversample)
     x_half = max(4 * K, 64)  # aliasing period half-width in x
     N = 2 * Mf * x_half
     omega = 2.0 * np.pi * Mf * np.fft.fftfreq(N)
     omega0 = omega - 2.0 * np.pi * np.round(omega / (2.0 * np.pi))
-    denom, tail = _periodized_symbol(symbol, pole_order, omega0, n_trunc, periodization_tol)
-
-    at_zero = np.abs(omega) < 1e-14
-    at_lattice = (np.abs(omega0) < 1e-14) & ~at_zero
-    if pole_order > 0:
-        with np.errstate(invalid="ignore", divide="ignore"):
-            numer = np.abs(omega0) ** pole_order * symbol(omega)
-        numer = np.where(at_zero | at_lattice, 0.0, numer)
-        with np.errstate(invalid="ignore"):
-            phihat_int = numer / denom
-        # the pole-free ratio tends to 1 at omega = 0 and to 0 at the
-        # other lattice frequencies 2 pi n
-        phihat_int = np.where(at_zero, 1.0, phihat_int)
-        phihat_int = np.where(at_lattice, 0.0, phihat_int)
-    else:
-        phihat_int = symbol(omega) / denom
+    with np.errstate(invalid="ignore", divide="ignore"):
+        numer = np.abs(omega0) ** gen.pole_order * gen.symbol_eval(omega)
+    # the pole-free ratio is 1 at omega = 0 and 0 at the other lattice
+    # frequencies 2 pi n
+    phihat_int = np.where(np.abs(omega0) < 1e-14, 0.0, numer / gen.periodized(omega0))
+    phihat_int[np.abs(omega) < 1e-14] = 1.0
 
     space = np.fft.ifft(phihat_int).real * Mf
     js = np.arange(-K * M, K * M + 1)
@@ -351,13 +295,9 @@ def lagrange_kernel_fourier(
 def interpolate(data, gen, tail_tol=1e-12):
     """Expansion coefficients c with sum_k c[k] phi(. - k) matching data
     at the integers: c = h * data, h the inverse of phi[.]."""
-    if gen.kind == "bspline":
-        phi_samples = bspline_samples(gen.params["degree"], d=data.dim)
-    elif gen.space_eval is not None and data.dim == 1:
-        ks = np.arange(-8, 9).astype(float)
-        phi_samples = Filter((-8,), gen.space_eval(ks))
-    else:
-        raise ValueError("interpolate needs integer samples of the generator")
+    if gen.kind != "bspline":
+        raise ValueError("interpolate needs a B-spline generator")
+    phi_samples = bspline_samples(gen.params["degree"], d=data.dim)
     if data.dim == 1:
         h = _inverse_filter_for(phi_samples, tail_tol)
     else:

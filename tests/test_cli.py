@@ -89,6 +89,15 @@ class TestInvertSingular:
         report = json.loads((tmp_path / "step.report.json").read_text())
         assert report["growth_order"] == 0
 
+    def test_window_below_degree_exits_1(self, tmp_path, capsys):
+        diff2 = json.dumps({"dim": 1, "origin": [0], "shape": [3], "coeffs": [1.0, -2.0, 1.0]})
+        code, _, err = run(
+            capsys, "invert-singular", "--filter", diff2,
+            "--radius", "1", "--out", str(tmp_path / "x.json"),
+        )
+        assert code == 1
+        assert "below the filter's degree" in err
+
 
 class TestReportsToStdout:
     def test_grs_check(self, capsys):

@@ -246,6 +246,15 @@ class TestSingular1D:
             np.abs(seq.values) <= seq.bound_constant * (1 + np.abs(ks)) ** seq.growth_order * (1 + 1e-12)
         )
 
+    def test_one_sided_window_below_degree_rejected(self):
+        # a one-sided inverse is verified on [0, W - degree], empty for W < 2
+        h = Filter((0,), np.array([1.0, -2.0, 1.0]))
+        with pytest.raises(ValueError, match="below the filter's degree"):
+            invert_singular_1d(h, 1)
+        seq = invert_singular_1d(h, 2)
+        assert seq.residual == 0.0
+        assert convolve(h, seq.to_filter()).coeff_at((0,)) == 1.0
+
     def test_stable_filter_raises_wrong_branch(self):
         with pytest.raises(WrongBranchError):
             invert_singular_1d(cubic(), 20)

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from wienerlab import (
     Filter,
-    PeriodizationError,
     TailBoundError,
     amalgam_norm,
     bspline_generator,
@@ -91,6 +90,57 @@ class TestBsplineSamples:
         assert f.origin == (0,) and f.coeffs[0] == 1.0
 
 
+# w0 = 0, +-pi and seeded random points of [-pi, pi]
+W0 = np.concatenate([[0.0, np.pi, -np.pi], np.random.default_rng(7).uniform(-np.pi, np.pi, 16)])
+SHELLS = 2**14
+
+
+def shell_sum(term, c, m):
+    """sum_{|n| <= SHELLS} term(W0, n), and a bound on the dropped shells
+    when |term(w0, n)| <= c (|n| - 1/2)^-m for w0 in [-pi, pi]:
+    2 sum_{n > S} c (n - 1/2)^-m <= 2 c (S - 1/2)^(1-m) / (m - 1)."""
+    ns = np.arange(-SHELLS, SHELLS + 1)
+    total = np.sum(term(W0[:, None], ns[None, :]), axis=1)
+    return total, 2.0 * c * (SHELLS - 0.5) ** (1 - m) / (m - 1)
+
+
+class TestPeriodizedSymbol:
+    @pytest.mark.parametrize("degree", [0, 1])
+    def test_delta_samples_give_one(self, degree):
+        # the integer samples of degrees 0 and 1 are delta
+        np.testing.assert_array_equal(bspline_generator(degree).periodized(W0), 1.0)
+
+    @pytest.mark.parametrize("degree", range(1, 12))
+    def test_bspline_matches_shell_sum(self, degree):
+        # |sinc((w0 + 2 pi n) / 2 pi)|^m <= (pi (|n| - 1/2))^-m, m = degree + 1
+        m = degree + 1
+        want, tail = shell_sum(lambda w, n: np.sinc(w / (2 * np.pi) + n) ** m, np.pi**-m, m)
+        got = bspline_generator(degree).periodized(W0)
+        np.testing.assert_allclose(got, want, rtol=0, atol=tail + 1e-13)
+
+    @pytest.mark.parametrize("p", [2, 4, 6, 8])
+    def test_green_power_matches_shell_sum(self, p):
+        # |w0|^p sum_n |w0 + 2 pi n|^-p, the n = 0 term being 1; the others
+        # are at most (pi / (2 pi (|n| - 1/2)))^p = 2^-p (|n| - 1/2)^-p
+        def term(w, n):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t = (np.abs(w) / np.abs(w + 2 * np.pi * n)) ** p
+            return np.where(n == 0, 1.0, t)
+
+        want, tail = shell_sum(term, 2.0**-p, p)
+        got = green_power_generator(p).periodized(W0)
+        np.testing.assert_allclose(got, want, rtol=0, atol=tail + 1e-13)
+
+    def test_green_power_2_csc_identity(self):
+        # sum_n (x + n)^-2 = pi^2 / sin^2(pi x): the p = 2 shell sum above
+        # converges too slowly to pin it closely
+        w = W0[W0 != 0]
+        want = (w / 2) ** 2 / np.sin(w / 2) ** 2
+        gen = green_power_generator(2)
+        np.testing.assert_allclose(gen.periodized(w), want, rtol=1e-14)
+        assert gen.periodized(np.array([0.0]))[0] == 1.0
+
+
 @pytest.fixture(scope="module")
 def kernel():
     return lagrange_kernel_space(bspline_generator(3), grid_step=1.0 / 16, K=20)
@@ -127,9 +177,7 @@ class TestLagrangeKernelSpace:
 class TestLagrangeKernelFourier:
     def test_route_equivalence(self):
         ks = lagrange_kernel_space(bspline_generator(3), grid_step=1.0 / 16, K=20)
-        kf = lagrange_kernel_fourier(
-            green_power_generator(4), n_trunc=64, grid_step=1.0 / 16, K=20
-        )
+        kf = lagrange_kernel_fourier(green_power_generator(4), grid_step=1.0 / 16, K=20)
         assert np.max(np.abs(ks.samples - kf.samples)) <= 1e-6
         assert kf.decay.rate == pytest.approx(RATE, abs=1e-3)
 
@@ -137,9 +185,7 @@ class TestLagrangeKernelFourier:
         # periodizing the B-spline symbol itself (no pole) gives the
         # same kernel as the space route
         ks = lagrange_kernel_space(bspline_generator(3), grid_step=1.0 / 16, K=20)
-        kf = lagrange_kernel_fourier(
-            bspline_generator(3), n_trunc=64, grid_step=1.0 / 16, K=20
-        )
+        kf = lagrange_kernel_fourier(bspline_generator(3), grid_step=1.0 / 16, K=20)
         assert np.max(np.abs(ks.samples - kf.samples)) <= 1e-6
 
     def test_interpolating_at_integers(self):
@@ -147,9 +193,12 @@ class TestLagrangeKernelFourier:
         want = (np.arange(-20, 21) == 0).astype(float)
         np.testing.assert_allclose(kf.integer_samples, want, atol=1e-6)
 
-    def test_unconverged_periodization_raises(self):
-        with pytest.raises(PeriodizationError):
-            lagrange_kernel_fourier(green_power_generator(4), n_trunc=1, K=8)
+    def test_green_power_2_is_the_hat(self):
+        # D^2's Green kernel interpolant is the degree-1 B-spline; the FFT
+        # quadrature's band limit leaves it ~1.6e-3 off
+        kf = lagrange_kernel_fourier(green_power_generator(2))
+        hat = np.maximum(1.0 - np.abs(kf.positions), 0.0)
+        assert np.max(np.abs(kf.samples - hat)) <= 2e-3
 
     def test_generator_validation(self):
         with pytest.raises(ValueError):

@@ -61,7 +61,7 @@ CASES = {
     "spline-both": ["spline-lagrange", "--degree", "3", "--route", "both", "--grid-step", "0.25", "--K", "16", "--out", "k.csv"],
     "spline-fourier": ["spline-lagrange", "--degree", "5", "--route", "fourier", "--grid-step", "0.25", "--K", "16", "--out", "k.csv"],
     "spline-out-dash": ["spline-lagrange", "--degree", "3", "--grid-step", "0.5", "--K", "16", "--out", "-"],
-    "spline-green2-exit2": [
+    "spline-green2": [
         "spline-lagrange", "--generator", '{"kind": "green_power", "params": {"order": 2}}',
         "--route", "fourier", "--out", "k.csv",
     ],

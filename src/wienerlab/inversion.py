@@ -369,14 +369,14 @@ def invert_singular_1d(h, window_radius, residual_tol=1e-9):
         qs = qs.real
     h_stable = Filter((0,), qs)
 
-    # exact inverse of the stable part, windowed wide enough that the
-    # dropped tail is below double-precision significance on the window
     W = int(window_radius)
     if len(qs) == 1 and W < deg:
         raise ValueError(
             f"window_radius {W} is below the filter's degree {deg}: "
             "the one-sided inverse would have no index to verify"
         )
+    # exact inverse of the stable part, windowed wide enough that the
+    # dropped tail is below double-precision significance on the window
     if len(qs) > 1:
         exact = invert_exact_1d(h_stable)
         w_neg = min(max(W, int(np.ceil(40.0 / max(exact.decay_rate, 1e-3)))), 20 * W)

@@ -4,11 +4,13 @@ Three routes with overlapping domains (they cross-check one another):
 
   toeplitz_oracle    dense windowed linear system, the brute-force oracle
   invert_stable      FFT sampling of 1/hhat with a residual contract
-  invert_exact_1d    closed form from the roots of the Laurent symbol
+  invert_exact_1d    Laurent expansion of 1/hhat by two recurrences, from
+                     the symbol's factors inside and outside the unit circle
 
 plus invert_singular_1d for 1-D filters whose symbol vanishes on the
-unit circle (the inverse then grows polynomially), and decay_fit for
-classifying the decay/growth of the result.
+unit circle (the same expansion with the unit zeros on the causal side;
+the inverse then grows polynomially), and decay_fit for classifying the
+decay/growth of the result.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import comb
 
 from .errors import (
     NotInvertibleError,
@@ -138,145 +139,138 @@ def invert_stable(h, tail_tol=1e-10, window_radius=40, certificate=None):
 
 # -- exact 1-D route ----------------------------------------------------------
 
+# np.roots spreads an m-fold root over a radius of about eps^(1/m) (1e-4
+# for m = 4); roots this close to one another are taken as one group
+ROOT_GROUP_GAP = 1e-3
 
-def _symbol_roots(h):
-    """Roots of Q(z) = sum_k h[k] z^{k_max - k}, with h 1-D.
 
-    Companion-matrix estimates from np.roots, then Newton polish in
-    extended precision: close-but-distinct root pairs (gap ~1e-4) give
-    residues ~1/gap whose cancellation would otherwise cost ~gap^-1
-    digits in the reconstructed inverse.
+def _groups(roots):
+    """The roots linked by chains of gaps below ROOT_GROUP_GAP, one array per group."""
+    near = np.abs(roots[:, None] - roots[None, :]) < ROOT_GROUP_GAP
+    for _ in range(len(roots).bit_length()):  # transitive closure by squaring
+        near = near @ near
+    return [roots[row] for row in np.unique(near, axis=0)]
+
+
+def _split_roots(h):
+    """Roots of Q(z) = sum_k h[k] z^{k_max - k} as (inner, unit, outer) lists.
+
+    Each root of a group whose mean lies on the unit circle (the mean of a
+    spread multiple root is accurate where its members are not) is a unit
+    root at the snapped mean; every other root keeps its computed value
+    and goes by its own modulus.
     """
-    coeffs = h.coeffs.ravel()
-    p = np.asarray(coeffs, dtype=np.clongdouble)  # descending powers of z
-    roots = np.roots(np.asarray(coeffs, dtype=complex)).astype(np.clongdouble)
-    dp = np.polyder(p)
-    for _ in range(4):
-        val = np.polyval(p, roots)
-        der = np.polyval(dp, roots)
-        ok = np.abs(der) > 0
-        roots[ok] = roots[ok] - val[ok] / der[ok]
-    return roots
+    if h.dim != 1:
+        raise ValueError("exact inversion is defined for d=1 only")
+    if not np.any(h.coeffs):
+        raise ValueError("filter is identically zero")
+    roots = np.roots(h.coeffs.ravel())
+    inner, unit, outer = [], [], []
+    for group in _groups(roots):
+        mean = group.mean()
+        for r in group:
+            u = mean if abs(abs(mean) - 1.0) < UNIT_CIRCLE_TOL else r
+            if abs(abs(u) - 1.0) < UNIT_CIRCLE_TOL:
+                unit.append(_snap_unit(u))
+            else:
+                (inner if abs(r) < 1.0 else outer).append(r)
+    return inner, unit, outer
 
 
-def _cluster_roots(roots):
-    """Group numerically coincident roots into (root, multiplicity) pairs."""
-    roots = sorted(roots, key=lambda z: (z.real, z.imag))
-    clusters = []
-    for r in roots:
-        if clusters and abs(r - clusters[-1][0][-1]) < 1e-6 * max(1.0, abs(r)):
-            clusters[-1][0].append(r)
-        else:
-            clusters.append([[r]])
-    return [(np.mean(np.asarray(group)), len(group)) for (group,) in clusters]
+def _snap_unit(r):
+    """r moved onto the unit circle, and onto +-1 when near-real."""
+    r = complex(r) / abs(r)
+    if abs(r.imag) < 1e-7:
+        r = complex(1.0 if r.real > 0 else -1.0, 0.0)
+    return r
 
 
-def _principal_parts(poly, clusters):
-    """Partial fractions of 1/poly: for each cluster (r, m) the principal
-    coefficients A_s, s=1..m, with 1/poly = sum A_s/(z-r)^s + (analytic)."""
-    parts = []
-    for r, m in clusters:
-        # deflate (z - r)^m by synthetic division (extended precision:
-        # residues at close roots are large with heavy cancellation)
-        q = np.asarray(poly, dtype=np.clongdouble)
-        for _ in range(m):
-            q = _synthetic_divide(q, r)[0]
-        # Taylor coefficients of the deflated polynomial at r
-        taylor = []
-        rem_poly = q
-        for _ in range(m):
-            rem_poly, rem = _synthetic_divide(rem_poly, r)
-            taylor.append(rem)
-        # invert the truncated power series sum taylor[t] (z-r)^t
-        b = np.zeros(m, dtype=np.clongdouble)
-        b[0] = 1.0 / taylor[0]
-        for t in range(1, m):
-            acc = np.clongdouble(0.0)
-            for s in range(1, t + 1):
-                if s < len(taylor):
-                    acc += taylor[s] * b[t - s]
-            b[t] = -acc / taylor[0]
-        # A_s = b[m - s]
-        parts.append((r, m, [b[m - s] for s in range(1, m + 1)]))
-    return parts
+def _decay_rate(inner, outer):
+    """-log of the spectral radius of the two-sided expansion of 1/Q."""
+    rho = max([abs(r) for r in inner] + [1.0 / abs(r) for r in outer], default=0.0)
+    return np.inf if rho == 0.0 else -float(np.log(rho))
 
 
-def _synthetic_divide(p, r):
-    """Divide polynomial p (descending coeffs) by (z - r); returns
-    (quotient, remainder)."""
-    if len(p) == 0:
-        return p, np.clongdouble(0.0)
-    q = np.empty(len(p) - 1, dtype=p.dtype)
-    acc = p[0]
-    for i in range(len(p) - 1):
-        q[i] = acc
-        acc = acc * r + p[i + 1]
-    return q, acc
+def _series(num, den, n):
+    """First n coefficients of the power series num/den (ascending, den[0] != 0)."""
+    s = np.zeros(n, dtype=np.result_type(num, den))
+    s[: len(num)] = num[:n]
+    q = len(den) - 1
+    rev = den[:0:-1]  # den[q], ..., den[1]
+    for t in range(n):
+        j = min(t, q)
+        s[t] = (s[t] - rev[q - j :] @ s[t - j : t]) / den[0]
+    return s
 
 
 @dataclass
 class ExactInverse1D:
-    """Closed-form 1-D inverse from the factored Laurent symbol.
+    """Closed-form 1-D inverse from an inner/outer factorisation of the symbol.
 
-    The symbol H(z) = sum h[k] z^{-k} factors through the polynomial
-    Q(z) = sum h[k] z^{k_max-k}; g[k] is the Laurent coefficient of
-    z^{-(k + k_max)} in z^{k_max}/Q(z), assembled from the partial
-    fractions of 1/Q. decay_rate > 0 iff no unit-circle roots.
+    The symbol H(z) = sum h[k] z^{-k} is z^{-k_max} Q(z) with
+    Q(z) = sum h[k] z^{k_max-k} = c0 A(z) B(z), A monic with the roots
+    inside the unit circle and B monic with those outside. The Bezout
+    identity U A + V B = 1 splits 1/Q = (V/A + U/B) / c0: on the unit
+    circle V/A expands in powers of 1/z and U/B in powers of z, each by a
+    linear recurrence, and g[k] is the coefficient of z^{-(k + k_max)}.
+    decay_rate > 0 iff no unit-circle roots.
     """
 
-    inner: list  # (root, multiplicity, [A_1..A_m]) with |root| < 1
-    outer: list  # same, with |root| > 1
-    unit_roots: list  # (root, multiplicity) on the unit circle
-    gain: float
-    decay_rate: float
+    causal: tuple  # (num, den), ascending in 1/z: V/(c0 A) = z^{-1} num/den
+    anticausal: tuple  # (num, den), ascending in z: U/(c0 B) = num/den
     k_max: int
-    real_output: bool
+    decay_rate: float
 
     def evaluate(self, ks):
         """g[k] for an integer array ks."""
         ks = np.atleast_1d(np.asarray(ks, dtype=int))
-        m = ks + self.k_max  # Laurent index into 1/Q
-        # residues of crowded root sets are large and mutually cancelling,
-        # so the accumulation runs in extended precision
-        out = np.zeros(len(ks), dtype=np.clongdouble)
-        for r, mult, parts in self.inner:
-            # 1/(z-r)^s = sum_{t>=0} C(t+s-1, s-1) r^t z^{-t-s}
-            for s, A in zip(range(1, mult + 1), parts):
-                sel = m >= s
-                t = m[sel] - s
-                out[sel] += A * comb(t + s - 1, s - 1) * r**t
-        for r, mult, parts in self.outer:
-            # 1/(z-r)^s = (-1)^s sum_{t>=0} C(t+s-1, s-1) z^t / r^{s+t}
-            for s, A in zip(range(1, mult + 1), parts):
-                sel = m <= 0
-                t = -m[sel]
-                out[sel] += A * (-1.0) ** s * comb(t + s - 1, s - 1) * r ** (-s - t)
-        if not (self.inner or self.outer):
-            # pure monomial symbol: g is a shifted scaled impulse
-            sel = m == 0
-            out[sel] = 1.0 / self.gain
-        if self.real_output:
-            return out.real.astype(float)
-        return out.astype(complex)
+        m = ks + self.k_max  # g[k] = [z^{-m}] 1/Q
+        right = m >= 1
+        causal = _series(*self.causal, int(m.max(initial=0)))
+        anticausal = _series(*self.anticausal, int(1 - m.min(initial=1)))
+        out = np.zeros(len(ks), dtype=np.result_type(causal, anticausal))
+        out[right] = causal[m[right] - 1]
+        out[~right] = anticausal[-m[~right]]
+        return out
 
     def to_filter(self, radius):
         ks = np.arange(-radius, radius + 1)
         return Filter((-radius,), self.evaluate(ks))
 
 
-def _classify_roots(h):
-    if h.dim != 1:
-        raise ValueError("exact inversion is defined for d=1 only")
-    if not np.any(h.coeffs):
-        raise ValueError("filter is identically zero")
-    k_min = h.origin[0]
-    k_max = k_min + h.coeffs.shape[0] - 1
+def _sylvester(A, B):
+    """Matrix of (dB, dA) -> A dB + B dA, deg dB < deg B, deg dA < deg A (descending)."""
+    p, q = len(A) - 1, len(B) - 1
+    S = np.zeros((p + q, p + q), dtype=np.result_type(A, B))
+    for i in range(q):
+        S[i : i + p + 1, i] = A
+    for j in range(p):
+        S[j : j + q + 1, q + j] = B
+    return S
+
+
+def _laurent_inverse(h, inner, outer):
+    """ExactInverse1D of the 1-D filter h, given the roots of Q on each side."""
     coeffs = h.coeffs.ravel()
-    if len(coeffs) == 1:
-        return [], k_max, coeffs
-    roots = _symbol_roots(h)
-    clusters = _cluster_roots(roots)
-    return clusters, k_max, coeffs
+    A, B = (np.atleast_1d(np.poly(roots)) for roots in (inner, outer))
+    if not h.is_complex:
+        A, B = A.real, B.real
+    p, q = len(A) - 1, len(B) - 1
+    one = np.eye(1, max(p + q, 1), max(p + q, 1) - 1).ravel()  # the constant 1
+    U, V = one, np.zeros(0)  # a monomial symbol: 1/Q = 1/c0
+    if p + q:
+        # one Newton step on A B = Q/c0 takes the factors from the accuracy
+        # of the roots to that of the coefficients
+        d = np.linalg.solve(_sylvester(A, B), (coeffs / coeffs[0] - np.polymul(A, B))[1:])
+        A, B = A + np.r_[0, d[q:]], B + np.r_[0, d[:q]]
+        x = np.linalg.solve(_sylvester(A, B), one)  # Bezout: U A + V B = 1
+        U, V = x[:q], x[q:]
+    return ExactInverse1D(
+        causal=(V / coeffs[0], A),
+        anticausal=(U[::-1] / coeffs[0], B[::-1]),
+        k_max=h.origin[0] + len(coeffs) - 1,
+        decay_rate=_decay_rate(inner, outer),
+    )
 
 
 def invert_exact_1d(h):
@@ -285,32 +279,12 @@ def invert_exact_1d(h):
     Raises SingularSymbolError (pointing at invert_singular_1d) when the
     symbol vanishes on the unit circle.
     """
-    clusters, k_max, coeffs = _classify_roots(h)
-    unit = [(r, m) for r, m in clusters if abs(abs(r) - 1.0) < UNIT_CIRCLE_TOL]
+    inner, unit, outer = _split_roots(h)
     if unit:
         raise SingularSymbolError(
             "symbol has unit-circle zeros; use invert_singular_1d", unit_roots=unit
         )
-    inner_cl = [(r, m) for r, m in clusters if abs(r) < 1.0]
-    outer_cl = [(r, m) for r, m in clusters if abs(r) > 1.0]
-    parts = _principal_parts(coeffs, inner_cl + outer_cl)
-    inner = [p for p in parts if abs(p[0]) < 1.0]
-    outer = [p for p in parts if abs(p[0]) > 1.0]
-    rho = 0.0
-    if inner:
-        rho = max(rho, max(abs(r) for r, _, _ in inner))
-    if outer:
-        rho = max(rho, 1.0 / min(abs(r) for r, _, _ in outer))
-    decay_rate = np.inf if rho == 0.0 else -float(np.log(rho))
-    return ExactInverse1D(
-        inner=inner,
-        outer=outer,
-        unit_roots=[],
-        gain=float(coeffs[0].real) if coeffs.dtype.kind != "c" else complex(coeffs[0]),
-        decay_rate=decay_rate,
-        k_max=k_max,
-        real_output=h.coeffs.dtype.kind != "c",
-    )
+    return _laurent_inverse(h, inner, outer)
 
 
 # -- singular 1-D route -------------------------------------------------------
@@ -338,66 +312,36 @@ class SlowGrowthSeq:
 def invert_singular_1d(h, window_radius, residual_tol=1e-9):
     """Inverse of a 1-D filter whose symbol vanishes on the unit circle.
 
-    Factors the symbol into a stable part and unit factors
-    (1 - e^{i w_j} z^{-1})^{m_j}; the stable part is inverted exactly and
-    each unit factor as the one-sided (causal) modulated cumulative sum.
-    The composition is the causal representative of the non-unique
-    slow-growth inverse; it satisfies h*g = delta on the window interior.
-    The window sits about index 0 for a filter at origin 0 and moves by
-    -origin with the filter.
+    The unit roots (snapped onto the circle) join the inner factor A of
+    the exact route, so V/A expands causally: each unit factor
+    (1 - e^{i w_j} z^{-1})^{m_j} inverts as a one-sided modulated
+    cumulative sum. The result is the causal representative of the
+    non-unique slow-growth inverse; it satisfies h*g = delta on the window
+    interior. The window sits about index 0 for a filter at origin 0 and
+    moves by -origin with the filter.
     """
-    clusters, k_max, coeffs = _classify_roots(h)
-    unit = [(r, m) for r, m in clusters if abs(abs(r) - 1.0) < UNIT_CIRCLE_TOL]
+    inner, unit, outer = _split_roots(h)
     if not unit:
         raise WrongBranchError("symbol has no unit-circle zeros; use invert_exact_1d")
-    # project the detected roots onto the unit circle (and onto the real
-    # axis when near-real): clustering leaves O(tol) noise that would
-    # otherwise leak exponential drift into the cumulative sums
-    unit = [(_snap_unit(r), m) for r, m in unit]
-    stable = [(r, m) for r, m in clusters if abs(abs(r) - 1.0) >= UNIT_CIRCLE_TOL]
-    m_tot = sum(m for _, m in unit)
     # h = delta_{k_min} * h0 with h0 at origin 0: invert h0, move by -k_min
     k_min = h.origin[0]
-    deg = k_max - k_min
-    h0 = Filter((0,), coeffs)
-    is_real = h.coeffs.dtype.kind != "c"
-
-    # stable polynomial Q_s(z) = gain * prod_stable (z - r)
-    stable_roots = [r for r, m in stable for _ in range(m)]
-    qs = np.atleast_1d(np.asarray(np.poly(stable_roots), dtype=complex)) * coeffs[0]
-    if is_real and np.max(np.abs(qs.imag)) <= 1e-9 * max(1.0, np.max(np.abs(qs))):
-        qs = qs.real
-    h_stable = Filter((0,), qs)
+    h0 = Filter((0,), h.coeffs.ravel())
+    deg = h0.coeffs.shape[0] - 1
 
     W = int(window_radius)
-    if len(qs) == 1 and W < deg:
+    if not (inner or outer) and W < deg:
         raise ValueError(
             f"window_radius {W} is below the filter's degree {deg}: "
             "the one-sided inverse would have no index to verify"
         )
-    # exact inverse of the stable part, windowed wide enough that the
-    # dropped tail is below double-precision significance on the window
-    if len(qs) > 1:
-        exact = invert_exact_1d(h_stable)
-        w_neg = min(max(W, int(np.ceil(40.0 / max(exact.decay_rate, 1e-3)))), 20 * W)
-        g_part = exact.to_filter(W + w_neg)
-    else:
-        w_neg = 0
-        g_part = Filter((0,), np.array([1.0]) / qs[0])
-
-    # causal inverses of the unit factors: (1 - u z^{-1})^{-1} = sum u^m z^{-m}
-    length = W + w_neg + 1
-    for u, mult in unit:
-        ramp = np.power(np.complex128(u), np.arange(length))
-        if is_real and abs(u.imag) < 1e-12:
-            ramp = ramp.real
-        cf = Filter((0,), ramp)
-        for _ in range(mult):
-            g_part = convolve(g_part, cf)
-    g_part = g_part.real_if_close() if is_real else g_part
-
+    # the stable part's inverse decays like exp(-rate |k|); reaching 40/rate
+    # to the left drops a tail below double-precision significance
+    w_neg = 0
+    if inner or outer:
+        rate = _decay_rate(inner, outer)
+        w_neg = min(max(W, int(np.ceil(40.0 / max(rate, 1e-3)))), 20 * W)
     window = Box((-w_neg,), (W + w_neg + 1,))
-    vals = g_part.on_box(window)
+    vals = _laurent_inverse(h0, inner + unit, outer).evaluate(window.indices().ravel())
     g = Filter(window.origin, vals)
 
     if w_neg > 0:
@@ -410,7 +354,7 @@ def invert_singular_1d(h, window_radius, residual_tol=1e-9):
             best_residual=resid,
         )
 
-    n = m_tot - 1
+    n = len(unit) - 1
     moved = Box((window.origin[0] - k_min,), window.shape)
     growth = (1.0 + np.abs(moved.indices().ravel())) ** n
     C = float(np.max(np.abs(vals) / growth))
@@ -421,13 +365,6 @@ def invert_singular_1d(h, window_radius, residual_tol=1e-9):
         bound_constant=C,
         residual=resid,
     )
-
-
-def _snap_unit(r):
-    r = complex(r) / abs(r)
-    if abs(r.imag) < 1e-7:
-        r = complex(1.0 if r.real > 0 else -1.0, 0.0)
-    return r
 
 
 # -- decay classification -----------------------------------------------------

@@ -201,9 +201,7 @@ def _inverse_filter_for(phi_samples, tail_tol):
     that the dropped coefficients are below tail_tol."""
     cert = min_modulus_certified(phi_samples)
     if phi_samples.coeffs.size == 1:
-        return Filter(
-            (0,) * phi_samples.dim, np.array([1.0 / phi_samples.coeffs.ravel()[0]]).reshape((1,) * phi_samples.dim)
-        )
+        return Filter((0,), 1.0 / phi_samples.coeffs)
     exact = invert_exact_1d(phi_samples)
     rate = exact.decay_rate
     scale = max(abs(exact.evaluate([0])[0]), 1.0)
@@ -294,16 +292,21 @@ def lagrange_kernel_fourier(gen, grid_step=1.0 / 16, K=20, freq_oversample=8):
 
 def interpolate(data, gen, tail_tol=1e-12):
     """Expansion coefficients c with sum_k c[k] phi(. - k) matching data
-    at the integers: c = h * data, h the inverse of phi[.]."""
+    at the integers: c = h * data, h the inverse of phi[.].
+
+    phi[.] on Z^d is the d-th tensor power of its 1-D samples, so h is the
+    tensor power of the 1-D inverse and is applied one axis at a time, by
+    the direct sum over its taps (no FFT grid of the whole output).
+    """
     if gen.kind != "bspline":
         raise ValueError("interpolate needs a B-spline generator")
-    phi_samples = bspline_samples(gen.params["degree"], d=data.dim)
-    if data.dim == 1:
-        h = _inverse_filter_for(phi_samples, tail_tol)
-    else:
-        extent = max(data.coeffs.shape) + 20
-        h = invert_stable(phi_samples, tail_tol=1e-10, window_radius=extent)
-    return convolve(h, data)
+    h = _inverse_filter_for(bspline_samples(gen.params["degree"]), tail_tol)
+    c = data
+    for axis in range(data.dim):
+        origin, shape = [0] * data.dim, [1] * data.dim
+        origin[axis], shape[axis] = h.origin[0], -1
+        c = convolve(Filter(origin, h.coeffs.reshape(shape)), c, method="direct")
+    return c
 
 
 def reproduction_check(p, kernel, target, xs, K_sum, tol=1e-9):

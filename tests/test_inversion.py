@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,9 +32,8 @@ def cubic():
 def stable_filter(rng, deg, min_gap=0.02, shift_range=3):
     """Random real filter whose symbol roots lie in 0.05 <= |z| <= 0.8.
 
-    Root pairs closer than min_gap are resampled: partial-fraction
-    residues scale like 1/gap and would dominate the route-agreement
-    error budget without bounding the conditioning.
+    Root pairs closer than min_gap are resampled, so the draws stay
+    generic; repeated and crowded roots have their own tests.
     """
     while True:
         roots = []
@@ -49,6 +50,23 @@ def stable_filter(rng, deg, min_gap=0.02, shift_range=3):
             break
     shift = int(rng.integers(-shift_range, shift_range + 1))
     return Filter((shift,), np.real(np.poly(roots)))
+
+
+def from_roots(roots, origin):
+    """Real filter at `origin` with the given symbol roots, max |coefficient| 1."""
+    c = np.real(np.poly(roots))
+    return Filter((origin,), c / np.max(np.abs(c)))
+
+
+PAIR, FAR_PAIR = 0.5 * np.exp(0.9j), np.exp(2.1j) / 0.55
+INNER_12 = [0.5 * np.exp(s * 1j * np.pi * (2 * j + 1) / 12) for j in range(6) for s in (1, -1)]
+OUTER_12 = [2.0 * np.exp(s * 1j * (np.pi * (2 * j + 1) / 12 + 0.3)) for j in range(6) for s in (1, -1)]
+# (roots, origin) of filters whose roots repeat or crowd
+HARD_ROOTS = {
+    "repeated-pair": ([PAIR, np.conj(PAIR)] * 2 + [-0.45, 0.6, FAR_PAIR, np.conj(FAR_PAIR)], 2),
+    "triple-root": ([0.5] * 3 + [-2.0], -1),
+    "degree-26": (INNER_12 + [r * (1 + 1e-3) for r in INNER_12[:2]] + OUTER_12, 0),
+}
 
 
 class TestExact1D:
@@ -80,8 +98,15 @@ class TestExact1D:
         h = convolve(base, base)
         ex = invert_exact_1d(h)
         ks = np.arange(0, 12)
-        # a double root is only locatable to ~1e-12, which the powers amplify
-        np.testing.assert_allclose(ex.evaluate(ks), (ks + 1) * a**ks, rtol=1e-9)
+        np.testing.assert_allclose(ex.evaluate(ks), (ks + 1) * a**ks, rtol=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(HARD_ROOTS))
+    def test_hard_roots_match_fft_route(self, name):
+        roots, origin = HARD_ROOTS[name]
+        h = from_roots(roots, origin)
+        ref = invert_stable(h, 1e-12, 80).on_box(Box((-70,), (141,)))
+        ev = invert_exact_1d(h).evaluate(np.arange(-70, 71))
+        np.testing.assert_allclose(ev, ref, rtol=0, atol=1e-12)
 
     def test_residual_is_delta(self):
         rng = np.random.default_rng(3)
@@ -100,6 +125,16 @@ class TestExact1D:
         with pytest.raises(SingularSymbolError) as exc:
             invert_exact_1d(Filter((0,), np.array([1.0, -1.0])))
         assert len(exc.value.unit_roots) == 1
+
+    def test_close_unit_pair_raises(self):
+        # e^{+-4e-4 i} fall in one root group whose mean is off the circle;
+        # each root on its own is on it
+        pair = [np.exp(4e-4j), np.exp(-4e-4j)]
+        h = Filter((0,), np.real(np.poly(pair)))
+        with pytest.raises(SingularSymbolError) as exc:
+            invert_exact_1d(h)
+        assert len(exc.value.unit_roots) == 2
+        assert invert_singular_1d(h, 40).residual < 1e-12
 
     def test_2d_rejected(self):
         with pytest.raises(ValueError):
@@ -254,6 +289,18 @@ class TestSingular1D:
         seq = invert_singular_1d(h, 2)
         assert seq.residual == 0.0
         assert convolve(h, seq.to_filter()).coeff_at((0,)) == 1.0
+
+    @pytest.mark.parametrize("m", [3, 4])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_multiple_unit_zero(self, m, sign):
+        # np.roots spreads the m-fold zero about eps^(1/m) off the circle
+        h = Filter((0,), np.poly([float(sign)] * m))
+        seq = invert_singular_1d(h, 30)
+        ks = seq.window.indices().ravel()
+        assert seq.growth_order == m - 1
+        np.testing.assert_array_equal(seq.values, [math.comb(k + m - 1, m - 1) * sign**k for k in ks])
+        with pytest.raises(SingularSymbolError):
+            invert_exact_1d(h)
 
     def test_stable_filter_raises_wrong_branch(self):
         with pytest.raises(WrongBranchError):

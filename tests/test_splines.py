@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wienerlab import (
+    Box,
     Filter,
     TailBoundError,
     amalgam_norm,
@@ -224,6 +225,16 @@ class TestInterpolate:
                 assert recon.coeff_at((i, j)) == pytest.approx(
                     data.coeff_at((i, j)), abs=1e-8
                 )
+
+    def test_4d(self):
+        rng = np.random.default_rng(2)
+        data = Filter((-1,) * 4, rng.standard_normal((2,) * 4))
+        c = interpolate(data, bspline_generator(3))
+        # the cubic's samples reach one step, so the data box needs c only
+        # on the box one step wider
+        near = Filter((-2,) * 4, c.on_box(Box((-2,) * 4, (4,) * 4)))
+        recon = convolve(bspline_samples(3, d=4), near).on_box(data.support)
+        np.testing.assert_allclose(recon, data.coeffs, rtol=0, atol=1e-12)
 
 
 class TestReproduction:

@@ -36,7 +36,6 @@ from .lattice import (
 from .spectrum import (
     DerivativeGrowth,
     ModulusCertificate,
-    Symbol,
     derivative_growth,
     lemma_bound_check,
     min_modulus_certified,

@@ -354,7 +354,8 @@ def invert_singular_1d(h, window_radius, residual_tol=1e-9):
             best_residual=resid,
         )
 
-    n = len(unit) - 1
+    # snapped members of one multiple root are equal, so counts are multiplicities
+    n = max(unit.count(u) for u in unit) - 1
     moved = Box((window.origin[0] - k_min,), window.shape)
     growth = (1.0 + np.abs(moved.indices().ravel())) ** n
     C = float(np.max(np.abs(vals) / growth))

@@ -302,6 +302,21 @@ class TestSingular1D:
         with pytest.raises(SingularSymbolError):
             invert_exact_1d(h)
 
+    @pytest.mark.parametrize(
+        "coeffs, order",
+        [([1.0, 0.0, -1.0], 0), ([1.0, 1.0, 1.0, 1.0], 0), ([1.0, -1.0, -1.0, 1.0], 1)],
+        ids=["zeros-at-pm1", "three-simple-zeros", "double-at-1-simple-at-minus-1"],
+    )
+    def test_growth_order_is_largest_multiplicity(self, coeffs, order):
+        # simple zeros give a bounded inverse however many there are;
+        # (1 - z)^2 (1 + z) gives a linear ramp
+        seq = invert_singular_1d(Filter((0,), coeffs), 40)
+        assert seq.growth_order == order
+        ks = seq.window.indices().ravel()
+        assert np.all(np.abs(seq.values) <= seq.bound_constant * (1 + np.abs(ks)) ** order * (1 + 1e-12))
+        if order == 0:
+            assert np.max(np.abs(seq.values)) <= 1.0 + 1e-12
+
     def test_stable_filter_raises_wrong_branch(self):
         with pytest.raises(WrongBranchError):
             invert_singular_1d(cubic(), 20)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from wienerlab import (
     Filter,
-    Symbol,
+    bspline_samples,
     convolve,
     derivative_growth,
     kronecker,
@@ -13,6 +13,7 @@ from wienerlab import (
     min_modulus_certified,
     symbol_eval,
 )
+from wienerlab.spectrum import _lipschitz
 
 
 def cubic():
@@ -86,14 +87,23 @@ class TestModulusCertificate:
         assert cert.status == "certified"
         assert cert.certified_lower_bound <= 1.0 / 9
 
+    @pytest.mark.parametrize("origin", [1, 1000, 20000])
+    def test_shifted_cubic_certifies_like_centred(self, origin):
+        # the gradient bound is centred on the support, so the cubic at
+        # origin 20000 no longer ends inconclusive
+        assert min_modulus_certified(Filter((origin,), cubic().coeffs)) == min_modulus_certified(cubic())
+
     def test_zero_filter_rejected(self):
         with pytest.raises(ValueError):
             min_modulus_certified(Filter((0,), [0.0]))
 
     def test_grid_cap_checked_before_first_sweep(self):
-        # the first grid, 64^5 points, is over the cap
+        # the first dense grid, 64^5 points, is over the cap; the extra
+        # corner tap keeps the filter off the rank-1 per-axis route
+        coeffs = np.full((2,) * 5, 0.1)
+        coeffs[(0,) * 5] = 1.0
         with pytest.raises(ValueError, match="exceeds"):
-            min_modulus_certified(Filter((0,) * 5, np.full((2,) * 5, 0.1)))
+            min_modulus_certified(Filter((0,) * 5, coeffs))
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)
@@ -103,9 +113,113 @@ class TestModulusCertificate:
         cert = min_modulus_certified(h)
         assert cert.certified_lower_bound <= cert.grid_min
 
-    def test_lipschitz_bound(self):
-        h = cubic()
-        assert Symbol(h).lipschitz == pytest.approx(1.0 / 3, abs=1e-15)
+    @pytest.mark.parametrize("origin", [-1, 1000])
+    def test_lipschitz_bound(self, origin):
+        # the moment is taken about the support centre, so no shift changes it
+        h = Filter((origin,), cubic().coeffs)
+        assert _lipschitz(h) == pytest.approx(1.0 / 3, abs=1e-15)
+
+
+def dominant_line(rng, n, complex_ok=False, margin=0.2):
+    """n random taps, one of them larger than the others' sum by at least
+    `margin`, so |fhat| >= margin."""
+    f = rng.standard_normal(n) + (1j * rng.standard_normal(n) if complex_ok else 0)
+    j = rng.integers(n)
+    f[j] = 0
+    f[j] = (np.sum(np.abs(f)) + margin * rng.uniform(1.0, 2.0)) * rng.choice([-1, 1])
+    return f
+
+
+def outer(lines):
+    t = lines[0]
+    for line in lines[1:]:
+        t = np.multiply.outer(t, line)
+    return t
+
+
+def random_filter(seed):
+    """A 1-D or 2-D filter, real or complex, separable or not. The margin
+    of its dominant tap sets how many doublings the certificate takes.
+    A quarter of the 1-D filters have a unit zero instead: at w = 0 or pi
+    (real, likely-singular on the first grid) or off the grid (complex,
+    inconclusive at GRID_CAP). Dense 2-D sweeps stay at N <= 1024."""
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 3))
+    shape = tuple(int(n) for n in rng.integers(1, 5, size=d))
+    complex_ok = bool(rng.integers(2))
+    if d == 1 and rng.integers(4) == 0:
+        theta = rng.uniform(0, 2 * np.pi) if complex_ok else np.pi * rng.integers(2)
+        coeffs = np.convolve(rng.standard_normal(shape), [1, -np.exp(1j * theta) if complex_ok else -np.cos(theta)])
+    elif d == 2 and rng.integers(2):
+        coeffs = outer([dominant_line(rng, n, complex_ok, 10 ** rng.uniform(-3, 0)) for n in shape])
+    else:
+        margin = 10 ** rng.uniform(-3 if d == 1 else -1.5, 0)
+        coeffs = dominant_line(rng, int(np.prod(shape)), complex_ok, margin).reshape(shape)
+    return Filter(tuple(int(o) for o in rng.integers(-3, 4, size=d)), coeffs)
+
+
+def assert_same_certificate(h, moved):
+    a, b = min_modulus_certified(h), min_modulus_certified(moved)
+    assert (a.status, a.grid_size) == (b.status, b.grid_size)
+    assert b.certified_lower_bound == pytest.approx(a.certified_lower_bound, abs=1e-12 * np.sum(np.abs(h.coeffs)))
+
+
+class TestCertificateProperties:
+    """|hhat| is unchanged by shifts, conjugation and reflection, so the
+    certificate must be too; rank-1 tensors are certified axis by axis."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(-1000, 1000), st.integers(-1000, 1000))
+    @settings(max_examples=40, deadline=None)
+    def test_shift_invariant(self, seed, s0, s1):
+        h = random_filter(seed)
+        shift = (s0, s1)[: h.dim]
+        assert_same_certificate(h, Filter(tuple(o + s for o, s in zip(h.origin, shift)), h.coeffs))
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_conjugation_and_reflection_invariant(self, seed):
+        h = random_filter(seed)
+        assert_same_certificate(h, Filter(h.origin, np.conj(h.coeffs)))
+        far = tuple(-(o + n - 1) for o, n in zip(h.origin, h.coeffs.shape))
+        assert_same_certificate(h, Filter(far, h.coeffs[(slice(None, None, -1),) * h.dim]))
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]))
+    @settings(max_examples=20, deadline=None)
+    def test_separable_matches_dense_sweep(self, seed, d):
+        rng = np.random.default_rng(seed)
+        lines = [dominant_line(rng, int(rng.integers(1, 5)), complex_ok=d == 2) for _ in range(d)]
+        h = Filter(tuple(int(o) for o in rng.integers(-5, 6, size=d)), outer(lines))
+        cert = min_modulus_certified(h)
+        assert cert.status == "certified"
+        dense = np.abs(np.fft.fftn(h.on_torus(cert.grid_size)))
+        assert cert.grid_min == pytest.approx(float(np.min(dense)), rel=1e-13)
+        ws = rng.uniform(-np.pi, np.pi, size=(1000, d))
+        assert np.all(np.abs(symbol_eval(h, ws)) >= cert.certified_lower_bound - 1e-12)
+
+    def test_perturbed_outer_product_takes_dense_route(self, monkeypatch):
+        swept = []
+        on_torus = Filter.on_torus
+
+        def spy(f, N):
+            swept.append(f.dim)
+            return on_torus(f, N)
+
+        monkeypatch.setattr(Filter, "on_torus", spy)
+        coeffs = outer([cubic().coeffs] * 2)
+        min_modulus_certified(Filter((-1, -1), coeffs))
+        assert set(swept) == {1}
+        swept.clear()
+        coeffs[0, 1] += 1e-6
+        cert = min_modulus_certified(Filter((-1, -1), coeffs))
+        assert set(swept) == {2}
+        assert cert.status == "certified"
+
+    def test_5d_tensor_cubic_certifies_at_first_grid(self):
+        # a dense sweep could not start: 64^5 points exceed the cap
+        cert = min_modulus_certified(bspline_samples(3, d=5))
+        assert cert.status == "certified"
+        assert cert.grid_size == 64
+        assert cert.certified_lower_bound <= (1.0 / 3) ** 5 <= cert.grid_min + 1e-15
 
 
 class TestDerivativeGrowth:

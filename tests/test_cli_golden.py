@@ -36,6 +36,7 @@ def _filter(origin, shape, coeffs):
 CUBIC = [1 / 6, 4 / 6, 1 / 6]
 CUBIC_1D = _filter([-1], [3], CUBIC)
 CUBIC_2D = _filter([-1, -1], [3, 3], [a * b for a in CUBIC for b in CUBIC])
+CUBIC_4D = _filter([-1] * 4, [3] * 4, [a * b * c * e for a in CUBIC for b in CUBIC for c in CUBIC for e in CUBIC])
 # a non-separable 2-D filter with a dominant centre tap
 SKEW_2D = _filter([-1, 0], [3, 2], [0.1, -0.2, 1.0, 0.3, 0.05, 0.15])
 DIFF = [1.0, -1.0]
@@ -56,6 +57,7 @@ CASES = {
     ],
     "symbol-min-1d": ["symbol-min", "--filter", CUBIC_1D],
     "symbol-min-2d": ["symbol-min", "--filter", SKEW_2D],
+    "symbol-min-4d": ["symbol-min", "--filter", CUBIC_4D],
     "symbol-min-singular": ["symbol-min", "--filter", _filter([3], [2], DIFF)],
     "spline-space": ["spline-lagrange", "--degree", "4", "--grid-step", "0.25", "--K", "16", "--out", "k.csv"],
     "spline-both": ["spline-lagrange", "--degree", "3", "--route", "both", "--grid-step", "0.25", "--K", "16", "--out", "k.csv"],

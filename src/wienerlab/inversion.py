@@ -16,6 +16,7 @@ decay/growth of the result.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -43,7 +44,7 @@ __all__ = [
 ]
 
 UNIT_CIRCLE_TOL = 1e-8
-FFT_GRID_START = 128
+FFT_GRID_START = 2  # doubled up to the first grid, N >= 2 W + 2
 FFT_GRID_CAP = 2**16
 
 
@@ -102,38 +103,79 @@ def toeplitz_oracle(h, window_radius, certificate=None):
 # -- FFT route ----------------------------------------------------------------
 
 
-def invert_stable(h, tail_tol=1e-10, window_radius=40, certificate=None):
-    """Inverse filter from samples of 1/hhat, with a residual contract.
+def _broadcast(masks, combine):
+    """The 1-D boolean masks, one per axis, combined over a d-D grid."""
+    d = len(masks)
+    return reduce(combine, (m.reshape([-1 if a == i else 1 for a in range(d)]) for i, m in enumerate(masks)))
 
-    Samples 1/hhat on an N^d grid (N doubling), inverse-DFTs to the
-    periodized inverse, windows it to window_radius, and doubles N until
-    sup |(h*g - delta)[k]| over the verification box is <= tail_tol.
-    A first grid of more than GRID_POINT_CAP points raises ValueError.
+
+def invert_stable(h, tail_tol=1e-10, window_radius=40, certificate=None):
+    """Inverse filter from samples of 1/hhat, with an aliasing bound and a
+    residual contract.
+
+    Samples 1/hhat on an N^d grid, starting at the smallest power of two
+    N >= 2 W + 2, and inverse-DFTs to the periodized inverse g_per. Take
+    g' = g_per on the period D centred on -c, c = origin + ceil(w/2) with
+    w = shape - 1 the support widths, and 0 elsewhere. Since h (*) g_per =
+    delta on the torus, r' = h*g' - delta lives on the pairs that leave D,
+    so ||r'||_1 <= rho = 2^d ||h||_1 sum(a), a = |g_per| on the band
+    |p_i + c_i| >= N/2 - w_i + 1 of some axis. When rho < 1,
+    g = g' * (delta + r')^{-1}, so sup |g - g'| <= max|g'| rho / (1 - rho).
+
+    N doubles until that bound is <= tail_tol, or until max a is below
+    the FFT's first-order forward error eps log2(N^d) ||h||_1 max|1/hhat|^2
+    (the band is then roundoff, which no larger grid resolves). The
+    window of radius window_radius is then cut from g' and must meet
+    sup |(h*g - delta)[k]| <= tail_tol over the verification box; a grid
+    at roundoff that misses it, or the grid cap, raises
+    ToleranceUnreachableError. A first grid of more than GRID_POINT_CAP
+    points raises ValueError.
     """
     _require_certified(h, certificate)
     d = h.dim
     W = int(window_radius)
-    s = h.support.extent
-    verify_radius = max(W - s, 0)
+    verify_radius = max(W - h.support.extent, 0)
+    widths = [n - 1 for n in h.coeffs.shape]
+    centre = [o + (w + 1) // 2 for o, w in zip(h.origin, widths)]
+    h_norm = float(np.sum(np.abs(h.coeffs)))
+    ks = np.arange(-W, W + 1)
+    fft, ifft = (np.fft.fftn, np.fft.ifftn) if h.is_complex else (np.fft.rfftn, np.fft.irfftn)
     N = FFT_GRID_START
     while N < 2 * W + 2:
         N *= 2
-    best = np.inf
+    best_rho, best_bound, best_resid = np.inf, np.inf, np.inf
     while True:
-        ghat = 1.0 / np.fft.fftn(h.on_torus(N))
-        gper = np.fft.ifftn(ghat)
-        idx = np.arange(-W, W + 1) % N
-        g = gper[np.ix_(*([idx] * d))]
-        gf = Filter((-W,) * d, g).real_if_close()
-        resid = residual_sup(h, gf, verify_radius)
-        if resid <= tail_tol:
-            return gf
-        best = min(best, resid)
-        if N >= FFT_GRID_CAP or (2 * N) ** d > GRID_POINT_CAP:
-            raise ToleranceUnreachableError(
-                f"residual {best:.3e} > {tail_tol:.1e} at grid cap",
-                best_residual=best,
-            )
+        ghat = fft(h.on_torus(N))
+        np.reciprocal(ghat, out=ghat)
+        floor = np.finfo(float).eps * d * np.log2(N) * h_norm * float(np.max(np.abs(ghat))) ** 2
+        gper = ifft(ghat, s=(N,) * d, axes=range(d))
+        del ghat
+        absg = np.abs(gper)
+        # centred coordinate q = p + c of each grid index, folded into [-N/2, N/2)
+        q = [(np.arange(N) + c + N // 2) % N - N // 2 for c in centre]
+        band = absg[_broadcast([np.abs(qi) > N // 2 - w for qi, w in zip(q, widths)], np.logical_or)]
+        rho = 2**d * h_norm * float(np.sum(band))
+        bound = float(np.max(absg)) * rho / (1.0 - rho) if rho < 1.0 else np.inf
+        best_rho, best_bound = min(best_rho, rho), min(best_bound, bound)
+        accept = bound <= tail_tol or float(np.max(band, initial=0.0)) <= floor
+        at_cap = N >= FFT_GRID_CAP or (2 * N) ** d > GRID_POINT_CAP
+        if accept or at_cap:
+            g = gper[np.ix_(*([ks % N] * d))]
+            # g' is 0 on the window indices outside D, whose q is not k + c
+            g[~_broadcast([qi[ks % N] == ks + c for qi, c in zip(q, centre)], np.logical_and)] = 0.0
+            gf = Filter((-W,) * d, g).real_if_close()
+            resid = residual_sup(h, gf, verify_radius)
+            if accept and resid <= tail_tol:
+                return gf
+            best_resid = min(best_resid, resid)
+            # a grid at roundoff that misses the residual: no larger grid does better
+            if bound > tail_tol or at_cap:
+                alias = f"bound {best_bound:.3e}" if best_rho < 1.0 else f"sum {best_rho:.3e} >= 1"
+                raise ToleranceUnreachableError(
+                    f"no grid up to {N}^{d} meets {tail_tol:.1e}: best aliasing {alias}, "
+                    f"best residual {best_resid:.3e}",
+                    best_residual=best_resid,
+                )
         N *= 2
 
 

@@ -1,3 +1,9 @@
+from hypothesis import settings
+
+# CI selects this profile (--hypothesis-profile=ci): the same examples on
+# every run, so a property cannot pass on one push and fail on the next
+settings.register_profile("ci", derandomize=True)
+
 acceptance_lines = []
 
 

@@ -9,6 +9,11 @@ from wienerlab.cli import main
 CUBIC = json.dumps(
     {"dim": 1, "origin": [-1], "shape": [3], "coeffs": [1 / 6, 4 / 6, 1 / 6]}
 )
+_LINE = np.array([1.0, 4.0, 1.0]) / 6.0
+CUBIC_4D = json.dumps(
+    {"dim": 4, "origin": [-1] * 4, "shape": [3] * 4,
+     "coeffs": np.einsum("i,j,k,l->ijkl", _LINE, _LINE, _LINE, _LINE).ravel().tolist()}
+)
 DIFFERENCE = json.dumps(
     {"dim": 1, "origin": [0], "shape": [2], "coeffs": [1.0, -1.0]}
 )
@@ -74,6 +79,20 @@ class TestInvert:
         with pytest.raises(SystemExit) as exc:
             main(["invert", "--no-such-flag"])
         assert exc.value.code == 1
+
+    def test_4d_tensor_cubic(self, tmp_path, capsys):
+        # certified axis by axis at N = 64; radius 4 starts on a 16^4 grid
+        # and stops at 64^4, where the aliasing band is roundoff
+        out = tmp_path / "g.json"
+        code, _, err = run(capsys, "invert", "--filter", CUBIC_4D, "--radius", "4", "--out", str(out))
+        assert code == 0, err
+        assert json.loads((tmp_path / "g.report.json").read_text())["residual"] <= 1e-10
+
+    def test_4d_tensor_cubic_over_grid_cap_exits_1(self, tmp_path, capsys):
+        # radius 32 needs a first grid of 128^4 points, over GRID_POINT_CAP
+        code, _, err = run(capsys, "invert", "--filter", CUBIC_4D, "--radius", "32", "--out", str(tmp_path / "g.json"))
+        assert code == 1
+        assert "exceeds" in err
 
 
 class TestInvertSingular:

@@ -13,11 +13,13 @@ from wienerlab import (
     SingularSymbolError,
     ToleranceUnreachableError,
     WrongBranchError,
+    bspline_samples,
     convolve,
     decay_fit,
     invert_exact_1d,
     invert_singular_1d,
     invert_stable,
+    min_modulus_certified,
     residual_sup,
     toeplitz_oracle,
 )
@@ -29,16 +31,20 @@ def cubic():
     return Filter((-1,), np.array([1.0, 4.0, 1.0]) / 6.0)
 
 
-def stable_filter(rng, deg, min_gap=0.02, shift_range=3):
-    """Random real filter whose symbol roots lie in 0.05 <= |z| <= 0.8.
+def stable_filter(rng, deg, min_gap=0.02, shift_range=3, complex_roots=False):
+    """Random filter whose symbol roots lie in 0.05 <= |z| <= 0.8.
 
-    Root pairs closer than min_gap are resampled, so the draws stay
-    generic; repeated and crowded roots have their own tests.
+    Real, with roots in conjugate pairs, unless complex_roots: then every
+    root has a uniform angle and the filter is complex. Root pairs closer
+    than min_gap are resampled, so the draws stay generic; repeated and
+    crowded roots have their own tests.
     """
     while True:
         roots = []
         while len(roots) < deg:
-            if deg - len(roots) >= 2 and rng.random() < 0.5:
+            if complex_roots:
+                roots.append(rng.uniform(0.05, 0.8) * np.exp(2j * np.pi * rng.random()))
+            elif deg - len(roots) >= 2 and rng.random() < 0.5:
                 rad = rng.uniform(0.05, 0.8)
                 ang = rng.uniform(0.0, np.pi)
                 z = rad * np.exp(1j * ang)
@@ -49,7 +55,8 @@ def stable_filter(rng, deg, min_gap=0.02, shift_range=3):
         if min(gaps, default=1.0) >= min_gap:
             break
     shift = int(rng.integers(-shift_range, shift_range + 1))
-    return Filter((shift,), np.real(np.poly(roots)))
+    coeffs = np.poly(roots)
+    return Filter((shift,), coeffs if complex_roots else np.real(coeffs))
 
 
 def from_roots(roots, origin):
@@ -172,14 +179,54 @@ class TestInvertStable:
         # best residual it saw
         with pytest.raises(ToleranceUnreachableError) as exc:
             invert_stable(cubic(), tail_tol=1e-18, window_radius=12)
-        assert exc.value.best_residual > 1e-18
+        assert 1e-18 < exc.value.best_residual < 1e-15
+        assert "inf" not in str(exc.value)
+
+    def test_aliasing_sum_above_one_at_cap(self):
+        # 1/(1 - 0.99999 z^-1) decays too slowly for any grid up to the cap;
+        # the error reports the aliasing sum and a finite residual
+        h = Filter((0,), np.array([1.0, -0.99999]))
+        cert = ModulusCertificate(64, 1e-5, 1e-5, (0.0,), "certified")
+        with pytest.raises(ToleranceUnreachableError, match="sum .* >= 1") as exc:
+            invert_stable(h, window_radius=10, certificate=cert)
+        assert np.isfinite(exc.value.best_residual)
+        assert "inf" not in str(exc.value)
 
     def test_grid_cap_checked_before_first_grid(self):
-        # a certified d=4 filter would start on a 128^4 grid (4 GiB complex)
+        # a certified d=4 filter at W = 40 would start on a 128^4 grid
+        # (2 GiB of real samples)
         h = Filter((0,) * 4, np.full((2,) * 4, 0.05))
         cert = ModulusCertificate(64, 1.0, 0.5, (0.0,) * 4, "certified")
         with pytest.raises(ValueError, match="exceeds"):
-            invert_stable(h, window_radius=4, certificate=cert)
+            invert_stable(h, window_radius=40, certificate=cert)
+
+    def test_slow_geometric_inverse_is_not_aliased(self):
+        # the first grid (N = 32) holds 0.95^k only to 2.4e-3; the aliasing
+        # bound must double it until the window is right
+        g = invert_stable(Filter((0,), np.array([1.0, -0.95])), 1e-10, 10)
+        ks = np.arange(-10, 11)
+        want = np.where(ks >= 0, 0.95 ** np.maximum(ks, 0), 0.0)
+        np.testing.assert_allclose(g.on_box(Box((-10,), (21,))), want, rtol=0, atol=1e-10)
+
+    def test_window_beyond_the_period_of_a_shifted_filter(self):
+        # the inverse of the cubic at origin 26 lives about k = -27; on the
+        # first grid (N = 64) the window's k = 5..28 wrap to -59..-36, where
+        # the periodized inverse is up to 1e-5, not the true 1e-18
+        h = Filter((26,), np.array([1.0, 4.0, 1.0]) / 6.0)
+        g = invert_stable(h, 1e-10, 28)
+        want = invert_exact_1d(h).evaluate(np.arange(-28, 29))
+        np.testing.assert_allclose(g.on_box(Box((-28,), (57,))), want, rtol=0, atol=1e-12)
+
+    @given(st.integers(0, 2**32 - 1), st.booleans(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_small_windows_match_exact(self, seed, complex_roots, data):
+        rng = np.random.default_rng(seed)
+        h = stable_filter(rng, int(rng.integers(1, 7)), complex_roots=complex_roots)
+        W = data.draw(st.integers(h.support.extent + 1, 30))
+        g = invert_stable(h, 1e-10, W)
+        want = invert_exact_1d(h).evaluate(np.arange(-W, W + 1))
+        scale = max(1.0, float(np.max(np.abs(want))))
+        np.testing.assert_allclose(g.on_box(Box((-W,), (2 * W + 1,))), want, rtol=0, atol=1e-9 * scale)
 
     def test_2d_separable(self):
         line = np.array([1.0, 4.0, 1.0]) / 6.0
@@ -191,6 +238,39 @@ class TestInvertStable:
             [[g2.coeff_at((i, j)) for j in range(-20, 21)] for i in range(-20, 21)]
         )
         assert np.max(np.abs(got - tensor)) < 1e-9
+
+
+def largest_grid(monkeypatch, h, window_radius):
+    """The largest N that invert_stable folds h onto."""
+    cert = min_modulus_certified(h)
+    grids = []
+    on_torus = Filter.on_torus
+
+    def spy(self, N):
+        grids.append(N)
+        return on_torus(self, N)
+
+    monkeypatch.setattr(Filter, "on_torus", spy)
+    invert_stable(h, window_radius=window_radius, certificate=cert)
+    return max(grids)
+
+
+class TestGridGrowth:
+    """The aliasing bound's roundoff floor scales with max |1/hhat|^2, so
+    badly conditioned filters stop at the grid the residual check alone
+    needed instead of doubling toward the cap."""
+
+    def test_degree_7_tensor(self, monkeypatch):
+        line = bspline_samples(7)
+        h = Filter(line.origin * 2, np.outer(line.coeffs, line.coeffs))
+        assert largest_grid(monkeypatch, h, 20) <= 128
+
+    def test_degree_20_annulus(self, monkeypatch):
+        # min |hhat| = 3.4e-3; the routes-1d probe's recipe
+        rng = np.random.default_rng([0, 5])
+        roots = rng.uniform(0.4, 0.7, 20) ** rng.choice([-1, 1], 20) * np.exp(1j * rng.uniform(0, 2 * np.pi, 20))
+        c = np.poly(roots)
+        assert largest_grid(monkeypatch, Filter((0,), c / np.max(np.abs(c))), 134) <= 512
 
 
 class TestToeplitzOracle:

@@ -99,6 +99,15 @@ class TestConvolve:
                 c2 = convolve(a, b, method="fft")
                 assert sup_difference(c1, c2) < 1e-12
 
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_direct_and_fft_paths_agree(self, data):
+        d = data.draw(st.integers(1, 3))
+        a, b = data.draw(filters(d)), data.draw(filters(d))
+        scale = float(np.sum(np.abs(a.coeffs)) * np.sum(np.abs(b.coeffs)))
+        diff = sup_difference(convolve(a, b, method="direct"), convolve(a, b, method="fft"))
+        assert diff <= 1e-13 * scale
+
     @given(
         st.lists(st.floats(-10, 10), min_size=1, max_size=6),
         st.lists(st.floats(-10, 10), min_size=1, max_size=6),

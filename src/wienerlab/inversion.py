@@ -3,7 +3,8 @@
 Three routes with overlapping domains (they cross-check one another):
 
   toeplitz_oracle    dense windowed linear system, the brute-force oracle
-  invert_stable      FFT sampling of 1/hhat with a residual contract
+  invert_stable      FFT sampling of 1/hhat with an aliasing bound and a
+                     residual contract
   invert_exact_1d    Laurent expansion of 1/hhat by two recurrences, from
                      the symbol's factors inside and outside the unit circle
 
@@ -11,6 +12,14 @@ plus invert_singular_1d for 1-D filters whose symbol vanishes on the
 unit circle (the same expansion with the unit zeros on the causal side;
 the inverse then grows polynomially), and decay_fit for classifying the
 decay/growth of the result.
+
+invert_stable's grid starts at the smallest power of two N >= 2 W + 2
+for the window radius W and doubles only while an a-posteriori bound
+from the l1 Wiener lemma fails. If the periodized inverse cut to one
+period, g', has ||h*g' - delta||_1 <= rho < 1, then sup |g - g'| <=
+max|g'| rho / (1 - rho), and rho = 2^d ||h||_1 sum |g'| over the band of
+each axis's support width at the period's edge. A band below the FFT's
+roundoff, eps log2(N^d) ||h||_1 max|1/hhat|^2, also ends the doubling.
 """
 
 from __future__ import annotations
@@ -157,7 +166,8 @@ def invert_stable(h, tail_tol=1e-10, window_radius=40, certificate=None):
         rho = 2**d * h_norm * float(np.sum(band))
         bound = float(np.max(absg)) * rho / (1.0 - rho) if rho < 1.0 else np.inf
         best_rho, best_bound = min(best_rho, rho), min(best_bound, bound)
-        accept = bound <= tail_tol or float(np.max(band, initial=0.0)) <= floor
+        at_roundoff = float(np.max(band, initial=0.0)) <= floor
+        accept = bound <= tail_tol or at_roundoff
         at_cap = N >= FFT_GRID_CAP or (2 * N) ** d > GRID_POINT_CAP
         if accept or at_cap:
             g = gper[np.ix_(*([ks % N] * d))]
@@ -169,7 +179,7 @@ def invert_stable(h, tail_tol=1e-10, window_radius=40, certificate=None):
                 return gf
             best_resid = min(best_resid, resid)
             # a grid at roundoff that misses the residual: no larger grid does better
-            if bound > tail_tol or at_cap:
+            if at_roundoff or at_cap:
                 alias = f"bound {best_bound:.3e}" if best_rho < 1.0 else f"sum {best_rho:.3e} >= 1"
                 raise ToleranceUnreachableError(
                     f"no grid up to {N}^{d} meets {tail_tol:.1e}: best aliasing {alias}, "

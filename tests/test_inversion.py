@@ -182,6 +182,13 @@ class TestInvertStable:
         assert 1e-18 < exc.value.best_residual < 1e-15
         assert "inf" not in str(exc.value)
 
+    def test_window_missing_the_inverse_stops_at_roundoff(self):
+        # the inverse of the cubic at origin 30 lives about k = -31, outside
+        # the window of radius 20, so h*g = delta fails at k = 0 on every
+        # grid; the first grid's band is already roundoff, so it stops there
+        with pytest.raises(ToleranceUnreachableError, match=r"up to 64\^1"):
+            invert_stable(Filter((30,), np.array([1.0, 4.0, 1.0]) / 6.0), 1e-10, 20)
+
     def test_aliasing_sum_above_one_at_cap(self):
         # 1/(1 - 0.99999 z^-1) decays too slowly for any grid up to the cap;
         # the error reports the aliasing sum and a finite residual

@@ -158,7 +158,7 @@ def invert_stable(h, tail_tol=1e-10, window_radius=40, certificate=None):
         np.reciprocal(ghat, out=ghat)
         floor = np.finfo(float).eps * d * np.log2(N) * h_norm * float(np.max(np.abs(ghat))) ** 2
         gper = ifft(ghat, s=(N,) * d, axes=range(d))
-        del ghat
+        del ghat  # the 4-D grids are hundreds of MB: free the spectrum first
         absg = np.abs(gper)
         # centred coordinate q = p + c of each grid index, folded into [-N/2, N/2)
         q = [(np.arange(N) + c + N // 2) % N - N // 2 for c in centre]
@@ -170,9 +170,10 @@ def invert_stable(h, tail_tol=1e-10, window_radius=40, certificate=None):
         accept = bound <= tail_tol or at_roundoff
         at_cap = N >= FFT_GRID_CAP or (2 * N) ** d > GRID_POINT_CAP
         if accept or at_cap:
-            g = gper[np.ix_(*([ks % N] * d))]
+            idx = ks % N
+            g = gper[np.ix_(*([idx] * d))]
             # g' is 0 on the window indices outside D, whose q is not k + c
-            g[~_broadcast([qi[ks % N] == ks + c for qi, c in zip(q, centre)], np.logical_and)] = 0.0
+            g[~_broadcast([qi[idx] == ks + c for qi, c in zip(q, centre)], np.logical_and)] = 0.0
             gf = Filter((-W,) * d, g).real_if_close()
             resid = residual_sup(h, gf, verify_radius)
             if accept and resid <= tail_tol:

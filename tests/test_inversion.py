@@ -175,8 +175,8 @@ class TestInvertStable:
 
     def test_tolerance_unreachable(self):
         # a tolerance below the roundoff floor cannot be met at any grid
-        # size, so the doubling loop must stop at the cap and report the
-        # best residual it saw
+        # size, so the doubling loop must stop once the aliasing band is
+        # roundoff and report the best residual it saw
         with pytest.raises(ToleranceUnreachableError) as exc:
             invert_stable(cubic(), tail_tol=1e-18, window_radius=12)
         assert 1e-18 < exc.value.best_residual < 1e-15

@@ -170,10 +170,7 @@ def _cmd_symbol_min(args):
 
 
 def _cmd_spline_lagrange(args):
-    if args.generator:
-        gen = generator_from_json(args.generator)
-    else:
-        gen = bspline_generator(args.degree)
+    gen = generator_from_json(args.generator) if args.generator else bspline_generator(args.degree)
     route = args.route
     report = {"route": route}
     kernel = None
@@ -190,8 +187,7 @@ def _cmd_spline_lagrange(args):
                 np.max(np.abs(kernel.samples - kf.samples))
             )
     kernel_to_csv(kernel, args.out)
-    # the CSV always goes to the file args.out (even "-"); the report sits beside it
-    _write_json(os.path.splitext(args.out)[0] + ".report.json", report)
+    _write_json(_sidecar_path(args.out), report)
     return 0
 
 

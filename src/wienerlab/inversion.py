@@ -55,6 +55,7 @@ __all__ = [
 UNIT_CIRCLE_TOL = 1e-8
 FFT_GRID_START = 2  # doubled up to the first grid, N >= 2 W + 2
 FFT_GRID_CAP = 2**16
+MIN_FIT_SAMPLES = 16  # decay_fit and decay_fit_samples need this many points
 
 
 def residual_sup(h, g, radius):
@@ -67,28 +68,30 @@ def _residual_on(h, g, box):
     return float(np.max(np.abs(convolve(h, g).on_box(box) - kronecker(h.dim).on_box(box))))
 
 
-def _require_certified(h, certificate):
-    """NotInvertibleError unless the given (or a fresh) certificate is certified."""
+def _certified_window(h, window_radius, certificate=None):
+    """int(window_radius); ValueError if it is negative, NotInvertibleError
+    unless the given (or a fresh) certificate is certified."""
+    W = int(window_radius)
+    if W < 0:
+        raise ValueError(f"window_radius must be >= 0, got {W}")
     cert = certificate if certificate is not None else min_modulus_certified(h)
     if cert.status != "certified":
-        raise NotInvertibleError(
-            f"symbol not certified invertible (status {cert.status})", cert
-        )
+        raise NotInvertibleError(f"symbol not certified invertible (status {cert.status})", cert)
+    return W
 
 
 # -- brute-force oracle -------------------------------------------------------
 
 
-def toeplitz_oracle(h, window_radius, certificate=None):
+def toeplitz_oracle(h, window_radius):
     """Invert h by solving the windowed system sum_l h[k-l] g[l] = delta[k].
 
     Unknowns live on the box of radius window_radius; equations run over
     the box enlarged by the support extent of h (overdetermined), solved
     by least squares. Independent of the FFT and root-based routes.
     """
-    _require_certified(h, certificate)
+    W = _certified_window(h, window_radius)
     d = h.dim
-    W = int(window_radius)
     s = h.support.extent
     col_box = Box((-W,) * d, (2 * W + 1,) * d)
     row_box = Box((-W - s,) * d, (2 * (W + s) + 1,) * d)
@@ -140,9 +143,8 @@ def invert_stable(h, tail_tol=1e-10, window_radius=40, certificate=None):
     ToleranceUnreachableError. A first grid of more than GRID_POINT_CAP
     points raises ValueError.
     """
-    _require_certified(h, certificate)
+    W = _certified_window(h, window_radius, certificate)
     d = h.dim
-    W = int(window_radius)
     verify_radius = max(W - h.support.extent, 0)
     widths = [n - 1 for n in h.coeffs.shape]
     centre = [o + (w + 1) // 2 for o, w in zip(h.origin, widths)]
@@ -442,7 +444,7 @@ class DecayReport:
     window_used: Box
 
 
-def decay_fit(g, min_samples=16):
+def decay_fit(g):
     """Classify the decay of a Filter or SlowGrowthSeq.
 
     Fits log|g[k]| against |k|_1 (exponential) and against log(1+||k||_2)
@@ -459,12 +461,12 @@ def decay_fit(g, min_samples=16):
     nonzero = vals > np.max(vals) * 1e-12
     if not np.any(nonzero & (dist1 > 0)):
         raise ValueError("degenerate input: all samples beyond the origin are zero")
-    if np.count_nonzero(nonzero) < min_samples:
-        raise ValueError(f"need at least {min_samples} nonzero samples")
+    if np.count_nonzero(nonzero) < MIN_FIT_SAMPLES:
+        raise ValueError(f"need at least {MIN_FIT_SAMPLES} nonzero samples")
     return _dual_model_fit(dist1[nonzero], dist2[nonzero], vals[nonzero], g.support)
 
 
-def decay_fit_samples(positions, values, min_samples=16):
+def decay_fit_samples(positions, values):
     """Decay fit for real-line samples (e.g. kernel grids).
 
     Samples are folded to |x| and reduced to their per-unit-interval
@@ -486,8 +488,8 @@ def decay_fit_samples(positions, values, min_samples=16):
             if m > floor:
                 centers.append(j + 0.5)
                 env.append(m)
-    if len(env) < min_samples:
-        raise ValueError(f"need at least {min_samples} envelope samples")
+    if len(env) < MIN_FIT_SAMPLES:
+        raise ValueError(f"need at least {MIN_FIT_SAMPLES} envelope samples")
     centers = np.asarray(centers)
     env = np.asarray(env)
     box = Box((0,), (max(n_bins, 1),))

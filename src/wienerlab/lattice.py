@@ -151,11 +151,12 @@ class Filter:
         np.add.at(grid.reshape(-1), flat, self.coeffs.ravel())
         return grid
 
-    def real_if_close(self, tol=1e-9):
+    def real_if_close(self):
+        """The real part, when no imaginary part exceeds 1e-9 max(max |h|, 1)."""
         if not self.is_complex:
             return self
         scale = max(np.max(np.abs(self.coeffs)), 1.0)
-        if np.max(np.abs(self.coeffs.imag)) <= tol * scale:
+        if np.max(np.abs(self.coeffs.imag)) <= 1e-9 * scale:
             return Filter(self.origin, self.coeffs.real.copy())
         return self
 

@@ -9,14 +9,19 @@ which also covers slowly increasing Green's-function generators. Each
 generator supplies that periodized symbol in closed form: for a B-spline
 it is, by Poisson summation, the cosine polynomial of its integer
 samples; for phihat = |w|^-p it is a sum of two Hurwitz zeta values.
+
+B-spline values are exact: at a float or grid point j/M, n! (2M)^n B_n
+is an integer sum of truncated powers, divided once with correct rounding.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import sys
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 from scipy.special import zeta
@@ -24,7 +29,6 @@ from scipy.special import zeta
 from .errors import TailBoundError
 from .inversion import decay_fit_samples, invert_exact_1d, invert_stable
 from .lattice import Filter, convolve
-from .spectrum import min_modulus_certified
 
 __all__ = [
     "bspline_value",
@@ -43,53 +47,63 @@ __all__ = [
 ]
 
 MAX_BSPLINE_DEGREE = 11
+TAIL_TOL = 1e-12  # inverse-filter taps below this are dropped from kernels and interpolants
+FREQ_OVERSAMPLE = 8  # Fourier-route frequency grid, relative to pi / grid_step
+AMALGAM_OFFSETS = np.arange(0.0, 1.0, 1.0 / 16)  # the x0 over which amalgam_norm takes its sup
+
+
+def _degree(degree):
+    n = int(degree)
+    if not 0 <= n <= MAX_BSPLINE_DEGREE:
+        raise ValueError(f"degree must be in [0, {MAX_BSPLINE_DEGREE}]")
+    return n
+
+
+def _grid_points(grid_step):
+    """Grid points per unit, M = round(1/grid_step); ValueError unless M >= 1."""
+    M = int(round(1.0 / grid_step)) if grid_step > 0 else 0
+    if M < 1:
+        raise ValueError(f"grid_step must be > 0 and round(1/grid_step) >= 1, got {grid_step!r}")
+    return M
+
+
+def _bspline_at(n, j, M):
+    """Centered degree-n B-spline at j/M (integers, M > 0), rounded once.
+
+    n! (2M)^n B_n(j/M) = sum_i (-1)^i C(n+1, i) (2j + (n+1-2i) M)_+^n is an
+    integer, exactly 0 outside the support (an (n+1)-th difference of a
+    degree-n polynomial).
+    """
+    if n == 0 and abs(2 * j) == M:
+        return 0.5  # the midpoint at the box's jumps keeps partition of unity
+    ts = [2 * j + (n + 1 - 2 * i) * M for i in range(n + 2)]
+    total = sum((-1) ** i * math.comb(n + 1, i) * t**n for i, t in enumerate(ts) if t > 0)
+    return total / (math.factorial(n) * (2 * M) ** n)
 
 
 def bspline_value(degree, x):
     """Centered B-spline of the given degree at x, evaluated exactly.
 
-    Uses the truncated-power expansion in rational arithmetic (floats are
-    dyadic rationals, so any float input is exact) and returns a float.
+    A float is a dyadic rational j/M, so the integer truncated-power sum
+    is exact and the result is correctly rounded.
     """
-    n = int(degree)
-    if not 0 <= n <= MAX_BSPLINE_DEGREE:
-        raise ValueError(f"degree must be in [0, {MAX_BSPLINE_DEGREE}]")
-    xf = Fraction(x)
-    half_sup = Fraction(n + 1, 2)
-    if n == 0 and abs(xf) == half_sup:
-        return 0.5  # the midpoint at the box's jumps keeps partition of unity
-    if xf <= -half_sup or xf >= half_sup:
-        return 0.0
-    total = Fraction(0)
-    for j in range(n + 2):
-        t = xf + half_sup - j
-        if t > 0:
-            total += (-1) ** j * math.comb(n + 1, j) * t**n
-    return float(total / math.factorial(n))
+    return _bspline_at(_degree(degree), *float(x).as_integer_ratio())
 
 
 def bspline_grid(degree, grid_step):
     """(positions, values) of the degree-n B-spline on its support grid."""
-    n = int(degree)
-    M = int(round(1.0 / grid_step))
-    half = n + 1  # cover [-(n+1)/2, (n+1)/2] with margin
-    js = np.arange(-half * M // 2 - 1, half * M // 2 + 2)
-    xs = js / M
-    vals = np.array([bspline_value(n, Fraction(int(j), M)) for j in js])
-    return xs, vals
+    n = _degree(degree)
+    M = _grid_points(grid_step)
+    js = np.arange(-(n + 1) * M // 2 - 1, (n + 1) * M // 2 + 2)  # the support and one point more
+    return js / M, np.array([_bspline_at(n, int(j), M) for j in js])
 
 
 def bspline_samples(degree, d=1):
     """Integer samples of the centered tensor-product B-spline."""
-    n = int(degree)
-    if not 0 <= n <= MAX_BSPLINE_DEGREE:
-        raise ValueError(f"degree must be in [0, {MAX_BSPLINE_DEGREE}]")
+    n = _degree(degree)
     k0 = n // 2
-    line = np.array([bspline_value(n, k) for k in range(-k0, k0 + 1)])
-    coeffs = line
-    for _ in range(d - 1):
-        coeffs = np.multiply.outer(coeffs, line)
-    return Filter((-k0,) * d, coeffs)
+    line = np.array([_bspline_at(n, k, 1) for k in range(-k0, k0 + 1)])
+    return Filter((-k0,) * d, reduce(np.multiply.outer, [line] * d))
 
 
 @dataclass
@@ -106,9 +120,7 @@ class Generator:
 
 
 def bspline_generator(degree):
-    n = int(degree)
-    if not 0 <= n <= MAX_BSPLINE_DEGREE:
-        raise ValueError(f"degree must be in [0, {MAX_BSPLINE_DEGREE}]")
+    n = _degree(degree)
 
     def symbol(omega):
         # sinc^{n+1} form of the centered B-spline transform
@@ -120,10 +132,7 @@ def bspline_generator(degree):
         # a cosine sum because phi is even
         omega0 = np.asarray(omega0, dtype=float)
         samples = bspline_samples(n)
-        total = np.zeros_like(omega0)
-        for k, c in zip(samples.indices().ravel(), samples.coeffs):
-            total += c * np.cos(k * omega0)
-        return total
+        return sum(c * np.cos(k * omega0) for k, c in zip(samples.indices().ravel(), samples.coeffs))
 
     return Generator("bspline", {"degree": n}, symbol, periodized, 0)
 
@@ -196,44 +205,37 @@ class LagrangeKernel:
         return out
 
 
-def _inverse_filter_for(phi_samples, tail_tol):
+def _inverse_filter_for(phi_samples):
     """Windowed inverse of the generator's integer samples, wide enough
-    that the dropped coefficients are below tail_tol."""
-    cert = min_modulus_certified(phi_samples)
+    that the dropped coefficients are below TAIL_TOL."""
     if phi_samples.coeffs.size == 1:
         return Filter((0,), 1.0 / phi_samples.coeffs)
     exact = invert_exact_1d(phi_samples)
-    rate = exact.decay_rate
     scale = max(abs(exact.evaluate([0])[0]), 1.0)
-    radius = int(np.ceil(np.log(scale / tail_tol) / rate)) + 4
-    return invert_stable(
-        phi_samples, tail_tol=min(tail_tol, 1e-10), window_radius=radius, certificate=cert
-    )
+    radius = int(np.ceil(np.log(scale / TAIL_TOL) / exact.decay_rate)) + 4
+    return invert_stable(phi_samples, tail_tol=TAIL_TOL, window_radius=radius)
 
 
-def lagrange_kernel_space(gen, grid_step=1.0 / 16, K=20, tail_tol=1e-12):
+def lagrange_kernel_space(gen, grid_step=1.0 / 16, K=20):
     """Space-domain Lagrange kernel: phi_int = sum_k h[k] phi(. - k)."""
     if gen.kind != "bspline":
         raise ValueError("space route needs a B-spline generator")
     degree = gen.params["degree"]
     phi_samples = bspline_samples(degree)
     phi_xs, phi_vals = bspline_grid(degree, grid_step)
-    M = int(round(1.0 / grid_step))
-    h = _inverse_filter_for(phi_samples, tail_tol)
-    hk = h.indices().ravel()
-    hv = h.coeffs.ravel()
-    keep = np.abs(hv) >= tail_tol
-    hk, hv = hk[keep], hv[keep]
+    M = _grid_points(grid_step)
+    h = _inverse_filter_for(phi_samples)
+    keep = np.abs(h.coeffs) >= TAIL_TOL
+    hk, hv = h.indices().ravel()[keep], h.coeffs[keep]
 
-    # phi_int on the fine grid as an upsampled discrete convolution
+    # phi_int on the fine grid as an upsampled discrete convolution; pad
+    # keeps every index base + k M + n_side inside acc
     pad = int(np.max(np.abs(hk))) + int(np.ceil(np.max(np.abs(phi_xs)))) + 1
     n_side = (K + pad) * M
     acc = np.zeros(2 * n_side + 1)
     base = np.rint(phi_xs * M).astype(int)
     for k, v in zip(hk, hv):
-        idx = base + k * M + n_side
-        ok = (idx >= 0) & (idx < len(acc))
-        acc[idx[ok]] += v * phi_vals[ok]
+        acc[base + k * M + n_side] += v * phi_vals
     sel = np.arange(-K * M, K * M + 1) + n_side
     positions = np.arange(-K * M, K * M + 1) / M
     samples = acc[sel]
@@ -250,7 +252,7 @@ def lagrange_kernel_space(gen, grid_step=1.0 / 16, K=20, tail_tol=1e-12):
     )
 
 
-def lagrange_kernel_fourier(gen, grid_step=1.0 / 16, K=20, freq_oversample=8):
+def lagrange_kernel_fourier(gen, grid_step=1.0 / 16, K=20):
     """Fourier-domain Lagrange kernel via symbol periodization.
 
     phihat_int(w) = phihat(w) / sum_n phihat(w - 2 pi n), with the
@@ -258,10 +260,10 @@ def lagrange_kernel_fourier(gen, grid_step=1.0 / 16, K=20, freq_oversample=8):
     generators whose symbol has a pole at 0 (Green's functions) the ratio
     is evaluated in pole-free form w0^p phihat(w) / (w0^p sum ...). Space
     samples come from an FFT quadrature of the inverse transform on a
-    frequency grid oversampled by freq_oversample relative to pi/grid_step.
+    frequency grid oversampled by FREQ_OVERSAMPLE relative to pi/grid_step.
     """
-    M = int(round(1.0 / grid_step))
-    Mf = M * int(freq_oversample)
+    M = _grid_points(grid_step)
+    Mf = M * FREQ_OVERSAMPLE
     x_half = max(4 * K, 64)  # aliasing period half-width in x
     N = 2 * Mf * x_half
     omega = 2.0 * np.pi * Mf * np.fft.fftfreq(N)
@@ -275,7 +277,7 @@ def lagrange_kernel_fourier(gen, grid_step=1.0 / 16, K=20, freq_oversample=8):
 
     space = np.fft.ifft(phihat_int).real * Mf
     js = np.arange(-K * M, K * M + 1)
-    samples = space[(js * freq_oversample) % N]
+    samples = space[(js * FREQ_OVERSAMPLE) % N]
     positions = js / M
     integer_samples = space[(np.arange(-K, K + 1) * Mf) % N]
     decay = decay_fit_samples(positions, samples)
@@ -290,7 +292,7 @@ def lagrange_kernel_fourier(gen, grid_step=1.0 / 16, K=20, freq_oversample=8):
     )
 
 
-def interpolate(data, gen, tail_tol=1e-12):
+def interpolate(data, gen):
     """Expansion coefficients c with sum_k c[k] phi(. - k) matching data
     at the integers: c = h * data, h the inverse of phi[.].
 
@@ -300,7 +302,7 @@ def interpolate(data, gen, tail_tol=1e-12):
     """
     if gen.kind != "bspline":
         raise ValueError("interpolate needs a B-spline generator")
-    h = _inverse_filter_for(bspline_samples(gen.params["degree"]), tail_tol)
+    h = _inverse_filter_for(bspline_samples(gen.params["degree"]))
     c = data
     for axis in range(data.dim):
         origin, shape = [0] * data.dim, [1] * data.dim
@@ -345,31 +347,26 @@ def reproduction_check(p, kernel, target, xs, K_sum, tol=1e-9):
     return {"max_residual": residual, "tail_estimate": float(tail), "values": vals}
 
 
-def amalgam_norm(f, w, x0_grid=None, K=40):
+def amalgam_norm(f, w, K=40):
     """Lower bound of the Wiener amalgam norm sup_{x0} sum_k |f(x0+k)| w[k].
 
     f: callable over float arrays (d = 1). The sup is taken over the
-    offsets in x0_grid (default: step-1/16 grid of [0, 1)).
+    offsets in AMALGAM_OFFSETS, the step-1/16 grid of [0, 1).
     """
-    if x0_grid is None:
-        x0_grid = np.arange(0.0, 1.0, 1.0 / 16)
-    ks = np.arange(-K, K + 1)
-    wv = w.eval(ks[:, None].astype(float))
-    best = 0.0
-    for x0 in np.atleast_1d(x0_grid):
-        vals = np.abs(np.asarray(f(x0 + ks.astype(float)), dtype=float))
-        best = max(best, float(np.dot(vals, wv)))
-    return best
+    ks = np.arange(-K, K + 1).astype(float)
+    wv = w.eval(ks[:, None])
+    return max(float(np.dot(np.abs(np.asarray(f(x0 + ks), dtype=float)), wv)) for x0 in AMALGAM_OFFSETS)
 
 
 def kernel_to_csv(kernel, path):
-    """Kernel CSV: metadata header comment, then x,value rows."""
+    """Kernel CSV: metadata header comment, then x,value rows; path "-"
+    writes to standard output."""
     meta = (
         f"# wienerlab lagrange kernel grid_step={kernel.grid_step!r} "
         f"K={kernel.integer_range} decay_model={kernel.decay.model} "
         f"decay_rate={kernel.decay.rate:.17g} decay_order={kernel.decay.order:.17g}\n"
     )
-    with open(path, "w") as fh:
+    with contextlib.nullcontext(sys.stdout) if path == "-" else open(path, "w") as fh:
         fh.write(meta)
         fh.write("x,value\n")
         for x, v in zip(kernel.positions, kernel.samples):

@@ -132,14 +132,14 @@ def submultiplicative_check(w, box):
     return violations
 
 
-def grs_limit(w, k, m_max, grs_tol=GRS_TOL):
+def grs_limit(w, k, m_max):
     """Estimate lim_m w[mk]^{1/m} from samples at m = 1, 2, 4, ..., m_max.
 
     The caller certifies that w is submultiplicative; then log w[mk] is
     subadditive in m and the limit equals inf_m w[mk]^{1/m}, so the
     extrapolated limit is the minimum over samples. Verdicts:
-      grs           extrapolated limit <= 1 + grs_tol
-      not_grs       per-m values have flattened at a level > 1 + grs_tol
+      grs           extrapolated limit <= 1 + GRS_TOL
+      not_grs       per-m values have flattened at a level > 1 + GRS_TOL
                     across the last three doublings (e^{rm}-type growth)
       inconclusive  otherwise
     """
@@ -161,41 +161,39 @@ def grs_limit(w, k, m_max, grs_tol=GRS_TOL):
     limit = float(np.exp(np.min(log_vals)))
     samples = [(int(m_i), float(np.exp(lv))) for m_i, lv in zip(ms, log_vals)]
 
-    if limit <= 1.0 + grs_tol:
+    if limit <= 1.0 + GRS_TOL:
         verdict = "grs"
     else:
         # Trend test on the last three doublings: if log w[mk]/m has
         # stopped decreasing (stays bounded away from 0), the weight grows
         # at least exponentially along k.
         tail = log_vals[-3:]
-        floor = np.log1p(grs_tol)
+        floor = np.log1p(GRS_TOL)
         flattened = np.all(tail > floor) and (tail[0] - tail[-1]) <= 0.25 * tail[0]
         verdict = "not_grs" if flattened else "inconclusive"
     return GrsEstimate(tuple(int(x) for x in k), samples, limit, verdict)
 
 
-def extended_grs(family, k, m_max, grs_tol=GRS_TOL, sample_box=None):
+def extended_grs(family, k, m_max):
     """Extended GRS diagnostic for a decreasing family of weights.
 
     Returns {"inf_limit", "verdict", "per_weight_limits"}; the verdict is
-    "grs" iff inf_n lim_m w_n[mk]^{1/m} <= 1 + grs_tol.
+    "grs" iff inf_n lim_m w_n[mk]^{1/m} <= 1 + GRS_TOL. The family must
+    decrease on the box of radius 4.
     """
     family = list(family)
     if not family:
         raise ValueError("invalid family: empty")
-    dim = family[0].dim
-    if sample_box is None:
-        sample_box = Box((-4,) * dim, (9,) * dim)
-    ks = sample_box.indices()
+    ks = Box((-4,) * family[0].dim, (9,) * family[0].dim).indices()
     prev = family[0].log_eval(ks)
     for w in family[1:]:
         cur = w.log_eval(ks)
         if np.any(cur > prev + 1e-12):
-            raise ValueError("invalid family: weights are not decreasing on the sample box")
+            raise ValueError("invalid family: weights are not decreasing on the box of radius 4")
         prev = cur
-    limits = [grs_limit(w, k, m_max, grs_tol).extrapolated_limit for w in family]
+    limits = [grs_limit(w, k, m_max).extrapolated_limit for w in family]
     inf_limit = float(min(limits))
-    verdict = "grs" if inf_limit <= 1.0 + grs_tol else "not_grs"
+    verdict = "grs" if inf_limit <= 1.0 + GRS_TOL else "not_grs"
     return {"inf_limit": inf_limit, "verdict": verdict, "per_weight_limits": limits}
 
 

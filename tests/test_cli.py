@@ -174,6 +174,15 @@ class TestSplineLagrange:
         report = json.loads((tmp_path / "kernel.report.json").read_text())
         assert report["route_agreement_sup"] <= 1e-6
 
+    def test_out_dash_writes_csv_then_report_to_stdout(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run(capsys, "spline-lagrange", "--grid-step", "0.5", "--K", "16", "--out", "-")
+        assert code == 0 and list(tmp_path.iterdir()) == []
+        csv, report = out.split("\n{\n", 1)
+        assert csv.startswith("# wienerlab lagrange kernel") and csv.splitlines()[1] == "x,value"
+        assert len(csv.splitlines()) == 2 + 2 * 16 * 2 + 1
+        assert json.loads("{" + report)["route"] == "space"
+
     def test_round_trip_identity(self, tmp_path, capsys):
         # Filter JSON -> load -> save leaves the bytes unchanged
         from wienerlab.cli import _json_text
@@ -184,3 +193,20 @@ class TestSplineLagrange:
         loaded = filter_from_json(first.read_text())
         assert _json_text(filter_to_json(loaded)) + "\n" == first.read_text()
 
+
+@pytest.mark.parametrize(
+    "argv, names",
+    [
+        (["spline-lagrange", "--grid-step", "0", "--out", "k.csv"], "grid_step"),
+        (["spline-lagrange", "--grid-step", "2", "--out", "k.csv"], "grid_step"),
+        (["spline-lagrange", "--grid-step", "-0.25", "--out", "k.csv"], "grid_step"),
+        (["spline-lagrange", "--route", "fourier", "--grid-step", "0", "--out", "k.csv"], "grid_step"),
+        (["reproduce", "--x-step", "0"], "grid_step"),
+        (["invert", "--filter", CUBIC, "--radius", "-2"], "window_radius"),
+    ],
+)
+def test_bad_input_exits_1_with_one_line(argv, names, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == "" and list(tmp_path.iterdir()) == []
+    assert err.startswith("wienerlab: ") and err.count("\n") == 1 and names in err

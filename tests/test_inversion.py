@@ -173,6 +173,10 @@ class TestInvertStable:
             invert_stable(Filter((0,), np.array([1.0, -1.0])))
         assert exc.value.certificate.status == "likely-singular"
 
+    def test_negative_window_radius_raises(self):
+        with pytest.raises(ValueError, match="window_radius"):
+            invert_stable(cubic(), window_radius=-2)
+
     def test_tolerance_unreachable(self):
         # a tolerance below the roundoff floor cannot be met at any grid
         # size, so the doubling loop must stop once the aliasing band is
@@ -291,6 +295,10 @@ class TestToeplitzOracle:
     def test_requires_certificate(self):
         with pytest.raises(NotInvertibleError):
             toeplitz_oracle(Filter((0,), np.array([1.0, -1.0])), 10)
+
+    def test_negative_window_radius_raises(self):
+        with pytest.raises(ValueError, match="window_radius"):
+            toeplitz_oracle(cubic(), -1)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=10, deadline=None)

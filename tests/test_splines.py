@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -21,8 +24,32 @@ from wienerlab import (
     polynomial_weight,
     reproduction_check,
 )
+from wienerlab.splines import bspline_grid
 
 RATE = np.log(2 + np.sqrt(3))
+
+
+def exact_bspline(n, x):
+    """Centered degree-n B-spline at the rational x: the truncated-power
+    sum in Fraction arithmetic, with 1/2 at the degree-0 jumps."""
+    x = Fraction(x)
+    if n == 0 and abs(x) == Fraction(1, 2):
+        return 0.5
+    total = Fraction(0)
+    for i in range(n + 2):
+        t = x + Fraction(n + 1, 2) - i
+        if t > 0:
+            total += (-1) ** i * math.comb(n + 1, i) * t**n
+    return float(total / math.factorial(n))
+
+
+def at_half_integers(test):
+    """An @example for every degree at every half-integer of [-7, 7]; these
+    include the support edges +-(n+1)/2."""
+    for n in range(12):
+        for k in range(-14, 15):
+            test = example(n, k / 2)(test)
+    return test
 
 
 class TestBsplineValue:
@@ -73,6 +100,45 @@ class TestBsplineValue:
     def test_degree_out_of_range(self):
         with pytest.raises(ValueError):
             bspline_value(12, 0.0)
+
+    @given(st.integers(0, 11), st.floats(-7, 7))
+    @at_half_integers
+    @settings(max_examples=300, deadline=None)
+    def test_matches_exact_reference(self, n, x):
+        assert bspline_value(n, x) == exact_bspline(n, x)
+
+
+@pytest.mark.parametrize("step", [1 / 2, 1 / 4, 1 / 8, 1 / 16, 1 / 32, 1 / 64, 0.1, 1 / 3])
+def test_bspline_grid_matches_exact_reference(step):
+    M = round(1 / step)
+    for n in range(12):
+        xs, vals = bspline_grid(n, step)
+        js = np.rint(xs * M).astype(int)
+        assert np.array_equal(xs, js / M) and np.array_equal(np.diff(js), np.ones(len(js) - 1))
+        assert xs[0] < -(n + 1) / 2 and xs[-1] > (n + 1) / 2
+        assert vals.tolist() == [exact_bspline(n, Fraction(int(j), M)) for j in js]
+
+
+@pytest.mark.parametrize("degree", [-1, 12])
+@pytest.mark.parametrize(
+    "build", [lambda n: bspline_value(n, 0.0), bspline_samples, bspline_generator], ids=["value", "samples", "generator"]
+)
+def test_degree_outside_0_to_11_raises(build, degree):
+    with pytest.raises(ValueError, match="degree"):
+        build(degree)
+
+
+@pytest.mark.parametrize("step", [0.0, 2.0, -0.25, float("nan"), float("inf")])
+@pytest.mark.parametrize(
+    "build",
+    [lambda s: bspline_grid(3, s),
+     lambda s: lagrange_kernel_space(bspline_generator(3), grid_step=s),
+     lambda s: lagrange_kernel_fourier(bspline_generator(3), grid_step=s)],
+    ids=["grid", "space", "fourier"],
+)
+def test_grid_step_without_a_point_per_unit_raises(build, step):
+    with pytest.raises(ValueError, match="grid_step"):
+        build(step)
 
 
 class TestBsplineSamples:

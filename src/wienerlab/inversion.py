@@ -68,7 +68,7 @@ def _residual_on(h, g, box):
     return float(np.max(np.abs(convolve(h, g).on_box(box) - kronecker(h.dim).on_box(box))))
 
 
-def _certified_window(h, window_radius, certificate=None):
+def _certified_window(h, window_radius, certificate):
     """int(window_radius); ValueError if it is negative, NotInvertibleError
     unless the given (or a fresh) certificate is certified."""
     W = int(window_radius)
@@ -90,7 +90,7 @@ def toeplitz_oracle(h, window_radius):
     the box enlarged by the support extent of h (overdetermined), solved
     by least squares. Independent of the FFT and root-based routes.
     """
-    W = _certified_window(h, window_radius)
+    W = _certified_window(h, window_radius, None)
     d = h.dim
     s = h.support.extent
     col_box = Box((-W,) * d, (2 * W + 1,) * d)

@@ -94,7 +94,7 @@ def bspline_grid(degree, grid_step):
     """(positions, values) of the degree-n B-spline on its support grid."""
     n = _degree(degree)
     M = _grid_points(grid_step)
-    js = np.arange(-(n + 1) * M // 2 - 1, (n + 1) * M // 2 + 2)  # the support and one point more
+    js = np.arange(-(n + 1) * M // 2 - 1, (n + 1) * M // 2 + 2)  # the support, one point beyond each end
     return js / M, np.array([_bspline_at(n, int(j), M) for j in js])
 
 

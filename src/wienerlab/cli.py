@@ -109,7 +109,7 @@ def _certificate_json(cert):
 def _decay_json(report):
     return {
         "model": report.model,
-        "rate_or_order": report.rate if report.model == "exponential" else report.order,
+        "rate_or_order": report.rate if report.model in ("exponential", "compact") else report.order,
         "C": report.fit_constant,
     }
 

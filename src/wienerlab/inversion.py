@@ -68,12 +68,17 @@ def _residual_on(h, g, box):
     return float(np.max(np.abs(convolve(h, g).on_box(box) - kronecker(h.dim).on_box(box))))
 
 
-def _certified_window(h, window_radius, certificate):
-    """int(window_radius); ValueError if it is negative, NotInvertibleError
-    unless the given (or a fresh) certificate is certified."""
+def _window_radius(window_radius):
     W = int(window_radius)
     if W < 0:
         raise ValueError(f"window_radius must be >= 0, got {W}")
+    return W
+
+
+def _certified_window(h, window_radius, certificate):
+    """_window_radius, then NotInvertibleError unless the given (or a
+    fresh) certificate is certified."""
+    W = _window_radius(window_radius)
     cert = certificate if certificate is not None else min_modulus_certified(h)
     if cert.status != "certified":
         raise NotInvertibleError(f"symbol not certified invertible (status {cert.status})", cert)
@@ -375,6 +380,7 @@ def invert_singular_1d(h, window_radius, residual_tol=1e-9):
     interior. The window sits about index 0 for a filter at origin 0 and
     moves by -origin with the filter.
     """
+    W = _window_radius(window_radius)
     inner, unit, outer = _split_roots(h)
     if not unit:
         raise WrongBranchError("symbol has no unit-circle zeros; use invert_exact_1d")
@@ -383,7 +389,6 @@ def invert_singular_1d(h, window_radius, residual_tol=1e-9):
     h0 = Filter((0,), h.coeffs.ravel())
     deg = h0.coeffs.shape[0] - 1
 
-    W = int(window_radius)
     if not (inner or outer) and W < deg:
         raise ValueError(
             f"window_radius {W} is below the filter's degree {deg}: "
@@ -431,8 +436,8 @@ class DecayReport:
     """Fitted decay/growth model of a sequence.
 
     model is "exponential" (|g[k]| ~ C e^{-rate |k|_1}), "algebraic"
-    (|g[k]| ~ C (1+||k||)^order), or "mixed" when neither fit beats the
-    other by a factor 2 in residual RMS.
+    (|g[k]| ~ C (1+||k||)^order), "mixed" (neither fit 2x better in RMS) or
+    "compact" (kernel samples < 1e-12 max at |x| >= 1; rate inf, order -inf).
     """
 
     model: str
@@ -476,10 +481,14 @@ def decay_fit_samples(positions, values):
     positions = np.abs(np.asarray(positions, dtype=float))
     values = np.abs(np.asarray(values, dtype=float))
     n_bins = int(np.floor(np.max(positions)))
+    box = Box((0,), (max(n_bins, 1),))
     # envelope bins within a factor ~100 of the double-precision floor
     # (and of typical assembly tail tolerances) carry truncation and
     # roundoff artifacts, not signal; they would flatten the fit
     floor = float(np.max(values)) * 1e-12
+    far = positions >= 1
+    if np.any(far) and np.all(values[far] < floor):
+        return DecayReport("compact", np.inf, -np.inf, float(np.max(values)), 0.0, 0.0, box)
     centers, env = [], []
     for j in range(n_bins):
         sel = (positions >= j) & (positions < j + 1)
@@ -492,7 +501,6 @@ def decay_fit_samples(positions, values):
         raise ValueError(f"need at least {MIN_FIT_SAMPLES} envelope samples")
     centers = np.asarray(centers)
     env = np.asarray(env)
-    box = Box((0,), (max(n_bins, 1),))
     return _dual_model_fit(centers, centers, env, box)
 
 

@@ -6,9 +6,9 @@ inverse of the integer samples phi[.]. Two independent construction
 routes are provided: the space-domain assembly above, and the
 Fourier-domain ratio phihat_int = phihat / sum_n phihat(. - 2 pi n),
 which also covers slowly increasing Green's-function generators. Each
-generator supplies that periodized symbol in closed form: for a B-spline
-it is, by Poisson summation, the cosine polynomial of its integer
-samples; for phihat = |w|^-p it is a sum of two Hurwitz zeta values.
+generator supplies that periodized symbol and its symbol's alias sum on the
+output grid in closed form: by Poisson summation and polygamma values for a
+B-spline, by Hurwitz zeta values for phihat = |w|^-p.
 
 B-spline values are exact: at a float or grid point j/M, n! (2M)^n B_n
 is an integer sum of truncated powers, divided once with correct rounding.
@@ -24,11 +24,11 @@ from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
-from scipy.special import zeta
+from scipy.special import polygamma, zeta
 
 from .errors import TailBoundError
 from .inversion import decay_fit_samples, invert_exact_1d, invert_stable
-from .lattice import Filter, convolve
+from .lattice import GRID_POINT_CAP, Filter, convolve
 
 __all__ = [
     "bspline_value",
@@ -48,7 +48,6 @@ __all__ = [
 
 MAX_BSPLINE_DEGREE = 11
 TAIL_TOL = 1e-12  # inverse-filter taps below this are dropped from kernels and interpolants
-FREQ_OVERSAMPLE = 8  # Fourier-route frequency grid, relative to pi / grid_step
 AMALGAM_OFFSETS = np.arange(0.0, 1.0, 1.0 / 16)  # the x0 over which amalgam_norm takes its sup
 
 
@@ -61,10 +60,18 @@ def _degree(degree):
 
 def _grid_points(grid_step):
     """Grid points per unit, M = round(1/grid_step); ValueError unless M >= 1."""
-    M = int(round(1.0 / grid_step)) if grid_step > 0 else 0
+    inverse = 1.0 / grid_step if grid_step > 0 else 0.0
+    M = int(round(inverse)) if math.isfinite(inverse) else 0
     if M < 1:
-        raise ValueError(f"grid_step must be > 0 and round(1/grid_step) >= 1, got {grid_step!r}")
+        raise ValueError(f"grid_step must be > 0 with round(1/grid_step) finite and >= 1, got {grid_step!r}")
     return M
+
+
+def _check_kernel_size(K, points):
+    if K < 0:
+        raise ValueError(f"K must be >= 0, got {K}")
+    if points > GRID_POINT_CAP:
+        raise ValueError(f"kernel grid of {points} points exceeds {GRID_POINT_CAP} points")
 
 
 def _bspline_at(n, j, M):
@@ -108,24 +115,33 @@ def bspline_samples(degree, d=1):
 
 @dataclass
 class Generator:
-    """Shift-invariant-space generator: its symbol and periodized symbol."""
+    """Shift-invariant-space generator: its symbol and two closed-form sums of
+    it, times |w0|^p (p the symbol's pole order at 0, w0 = w mod 2 pi)."""
 
     kind: str
     params: dict
     symbol_eval: object  # omega -> phihat(omega), vectorized
-    # w0 -> |w0|^pole_order sum_n phihat(w0 + 2 pi n) on [-pi, pi], exact
-    # and finite at w0 = 0
-    periodized: object
-    pole_order: int  # order of the symbol's pole at omega = 0
+    aliased: object  # (w, Mf) -> |w0|^p sum_m phihat(w + 2 pi Mf m); Mf even, |w| <= pi Mf
+    periodized: object  # w0 -> |w0|^p sum_n phihat(w0 + 2 pi n) on [-pi, pi]
 
 
 def bspline_generator(degree):
     n = _degree(degree)
+    p = n + 1
 
     def symbol(omega):
         # sinc^{n+1} form of the centered B-spline transform
         omega = np.asarray(omega, dtype=float)
-        return np.sinc(omega / (2.0 * np.pi)) ** (n + 1)
+        return np.sinc(omega / (2.0 * np.pi)) ** p
+
+    def aliased(omega, Mf):
+        # Mf even: sin(w/2 + pi Mf m) = sin(w/2), so the shells m != 0 sum to
+        # (sin(w/2) / pi Mf)^p [zeta(p, 1+y) + (-1)^p zeta(p, 1-y)] with
+        # y = w / 2 pi Mf; in polygamma form the sum stays finite at p = 1
+        omega = np.asarray(omega, dtype=float)
+        y = omega / (2.0 * np.pi * Mf)
+        shells = ((-1) ** p * polygamma(p - 1, 1.0 + y) + polygamma(p - 1, 1.0 - y)) / math.factorial(p - 1)
+        return symbol(omega) + (np.sin(omega / 2.0) / (np.pi * Mf)) ** p * shells
 
     def periodized(omega0):
         # Poisson summation: sum_n phihat(w + 2 pi n) = sum_k phi(k) e^{-ikw},
@@ -134,7 +150,7 @@ def bspline_generator(degree):
         samples = bspline_samples(n)
         return sum(c * np.cos(k * omega0) for k, c in zip(samples.indices().ravel(), samples.coeffs))
 
-    return Generator("bspline", {"degree": n}, symbol, periodized, 0)
+    return Generator("bspline", {"degree": n}, symbol, aliased, periodized)
 
 
 def green_power_generator(order=4):
@@ -148,14 +164,17 @@ def green_power_generator(order=4):
         with np.errstate(divide="ignore"):
             return np.abs(omega) ** (-float(p))
 
-    def periodized(omega0):
-        # |w0|^p sum_n |w0 + 2 pi n|^-p = x^p [zeta(p, x) + zeta(p, 1 - x)]
-        # with x = |w0| / 2 pi; zeta(p, x) = x^-p + zeta(p, 1 + x) takes the
-        # n = 0 term out as 1, so w0 = 0 needs no limit
-        x = np.abs(np.asarray(omega0, dtype=float)) / (2.0 * np.pi)
-        return 1.0 + x**p * (zeta(p, 1.0 + x) + zeta(p, 1.0 - x))
+    def aliased(omega, Mf):
+        # |w0|^p sum_m |w + 2 pi Mf m|^-p = (|w0| / |w|)^p + (|w0| / 2 pi Mf)^p
+        # [zeta(p, 1 + |y|) + zeta(p, 1 - |y|)], y = w / 2 pi Mf, for any Mf (so
+        # Mf = 1 is the periodized symbol); the m = 0 term is 1 at w = 0
+        omega = np.abs(np.asarray(omega, dtype=float))
+        omega0 = np.abs(omega - 2.0 * np.pi * np.round(omega / (2.0 * np.pi)))
+        y = omega / (2.0 * np.pi * Mf)
+        central = np.divide(omega0, omega, out=np.ones_like(omega), where=omega > 0) ** p
+        return central + (omega0 / (2.0 * np.pi * Mf)) ** p * (zeta(p, 1.0 + y) + zeta(p, 1.0 - y))
 
-    return Generator("green_power", {"order": p}, symbol, periodized, p)
+    return Generator("green_power", {"order": p}, symbol, aliased, lambda omega0: aliased(omega0, 1))
 
 
 def generator_from_json(obj):
@@ -216,80 +235,52 @@ def _inverse_filter_for(phi_samples):
     return invert_stable(phi_samples, tail_tol=TAIL_TOL, window_radius=radius)
 
 
+def _kernel(M, K, samples, inverse_filter):
+    """LagrangeKernel of the samples at j/M, |j| <= K M."""
+    positions = np.arange(-K * M, K * M + 1) / M
+    decay = decay_fit_samples(positions, samples)
+    return LagrangeKernel(1.0 / M, positions, samples, samples[::M], K, inverse_filter, decay)
+
+
 def lagrange_kernel_space(gen, grid_step=1.0 / 16, K=20):
     """Space-domain Lagrange kernel: phi_int = sum_k h[k] phi(. - k)."""
     if gen.kind != "bspline":
         raise ValueError("space route needs a B-spline generator")
     degree = gen.params["degree"]
-    phi_samples = bspline_samples(degree)
-    phi_xs, phi_vals = bspline_grid(degree, grid_step)
     M = _grid_points(grid_step)
-    h = _inverse_filter_for(phi_samples)
+    h = _inverse_filter_for(bspline_samples(degree))
     keep = np.abs(h.coeffs) >= TAIL_TOL
     hk, hv = h.indices().ravel()[keep], h.coeffs[keep]
 
-    # phi_int on the fine grid as an upsampled discrete convolution; pad
-    # keeps every index base + k M + n_side inside acc
-    pad = int(np.max(np.abs(hk))) + int(np.ceil(np.max(np.abs(phi_xs)))) + 1
+    # phi_int on the fine grid as an upsampled discrete convolution; phi's grid
+    # reaches degree // 2 + 2, so pad keeps every base + k M + n_side inside acc
+    pad = int(np.max(np.abs(hk))) + degree // 2 + 3
     n_side = (K + pad) * M
+    _check_kernel_size(K, 2 * n_side + 1)
+    phi_xs, phi_vals = bspline_grid(degree, grid_step)
     acc = np.zeros(2 * n_side + 1)
     base = np.rint(phi_xs * M).astype(int)
     for k, v in zip(hk, hv):
         acc[base + k * M + n_side] += v * phi_vals
-    sel = np.arange(-K * M, K * M + 1) + n_side
-    positions = np.arange(-K * M, K * M + 1) / M
-    samples = acc[sel]
-    integer_samples = acc[np.arange(-K, K + 1) * M + n_side]
-    decay = decay_fit_samples(positions, samples)
-    return LagrangeKernel(
-        grid_step=1.0 / M,
-        positions=positions,
-        samples=samples,
-        integer_samples=integer_samples,
-        integer_range=K,
-        inverse_filter=h,
-        decay=decay,
-    )
+    return _kernel(M, K, acc[n_side - K * M : n_side + K * M + 1], h)
 
 
 def lagrange_kernel_fourier(gen, grid_step=1.0 / 16, K=20):
     """Fourier-domain Lagrange kernel via symbol periodization.
 
-    phihat_int(w) = phihat(w) / sum_n phihat(w - 2 pi n), with the
-    generator's closed-form periodized symbol as denominator; for
-    generators whose symbol has a pole at 0 (Green's functions) the ratio
-    is evaluated in pole-free form w0^p phihat(w) / (w0^p sum ...). Space
-    samples come from an FFT quadrature of the inverse transform on a
-    frequency grid oversampled by FREQ_OVERSAMPLE relative to pi/grid_step.
+    phihat_int = phihat / sum_n phihat(. - 2 pi n), pole-free (times |w0|^p)
+    for Green's functions. The denominator is 2 pi-periodic, so the samples
+    at step 1/Mf are the inverse DFT of the numerator's closed-form alias
+    sum over it, exact up to aliasing in x at distance N / Mf.
     """
     M = _grid_points(grid_step)
-    Mf = M * FREQ_OVERSAMPLE
-    x_half = max(4 * K, 64)  # aliasing period half-width in x
-    N = 2 * Mf * x_half
+    Mf = M if M % 2 == 0 else 2 * M  # the alias sums need an even Mf
+    N = 2 * Mf * max(4 * K, 64)
+    _check_kernel_size(K, N)
     omega = 2.0 * np.pi * Mf * np.fft.fftfreq(N)
     omega0 = omega - 2.0 * np.pi * np.round(omega / (2.0 * np.pi))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        numer = np.abs(omega0) ** gen.pole_order * gen.symbol_eval(omega)
-    # the pole-free ratio is 1 at omega = 0 and 0 at the other lattice
-    # frequencies 2 pi n
-    phihat_int = np.where(np.abs(omega0) < 1e-14, 0.0, numer / gen.periodized(omega0))
-    phihat_int[np.abs(omega) < 1e-14] = 1.0
-
-    space = np.fft.ifft(phihat_int).real * Mf
-    js = np.arange(-K * M, K * M + 1)
-    samples = space[(js * FREQ_OVERSAMPLE) % N]
-    positions = js / M
-    integer_samples = space[(np.arange(-K, K + 1) * Mf) % N]
-    decay = decay_fit_samples(positions, samples)
-    return LagrangeKernel(
-        grid_step=1.0 / M,
-        positions=positions,
-        samples=samples,
-        integer_samples=integer_samples,
-        integer_range=K,
-        inverse_filter=None,
-        decay=decay,
-    )
+    space = np.fft.ifft(gen.aliased(omega, Mf) / gen.periodized(omega0)).real * Mf
+    return _kernel(M, K, space[np.arange(-K * M, K * M + 1) * (Mf // M) % N], None)
 
 
 def interpolate(data, gen):

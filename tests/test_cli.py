@@ -17,6 +17,10 @@ CUBIC_4D = json.dumps(
 DIFFERENCE = json.dumps(
     {"dim": 1, "origin": [0], "shape": [2], "coeffs": [1.0, -1.0]}
 )
+# a unit zero at 1 times the stable factor 1 - z/2
+STABLE_PART = json.dumps(
+    {"dim": 1, "origin": [0], "shape": [3], "coeffs": [1.0, -1.5, 0.5]}
+)
 
 
 def run(capsys, *argv):
@@ -203,6 +207,20 @@ class TestSplineLagrange:
         (["spline-lagrange", "--route", "fourier", "--grid-step", "0", "--out", "k.csv"], "grid_step"),
         (["reproduce", "--x-step", "0"], "grid_step"),
         (["invert", "--filter", CUBIC, "--radius", "-2"], "window_radius"),
+        pytest.param(["spline-lagrange", "--grid-step", "1e-320", "--out", "k.csv"], "grid_step", id="subnormal-step"),
+        pytest.param(["spline-lagrange", "--route", "fourier", "--grid-step", "1e-320", "--out", "k.csv"], "grid_step",
+                     id="subnormal-step-fourier"),
+        pytest.param(["spline-lagrange", "--K", "-3", "--out", "k.csv"], "K must be >= 0", id="negative-K"),
+        pytest.param(["spline-lagrange", "--route", "fourier", "--K", "-3", "--out", "k.csv"], "K must be >= 0",
+                     id="negative-K-fourier"),
+        # grids of about 1e302 points: the cap is checked before allocating
+        pytest.param(["spline-lagrange", "--grid-step", "1e-300", "--out", "k.csv"], "exceeds", id="over-cap"),
+        pytest.param(["spline-lagrange", "--route", "fourier", "--grid-step", "1e-300", "--out", "k.csv"], "exceeds",
+                     id="over-cap-fourier"),
+        pytest.param(["invert-singular", "--filter", STABLE_PART, "--radius", "-2"], "window_radius must be >= 0",
+                     id="singular-negative-radius-stable-part"),
+        pytest.param(["invert-singular", "--filter", DIFFERENCE, "--radius", "-2"], "window_radius must be >= 0",
+                     id="singular-negative-radius"),
     ],
 )
 def test_bad_input_exits_1_with_one_line(argv, names, tmp_path, capsys, monkeypatch):

@@ -24,6 +24,7 @@ from wienerlab import (
     polynomial_weight,
     reproduction_check,
 )
+from wienerlab import splines
 from wienerlab.splines import bspline_grid
 
 RATE = np.log(2 + np.sqrt(3))
@@ -121,7 +122,7 @@ def test_bspline_grid_matches_exact_reference(step):
         assert vals.tolist() == [exact_bspline(n, Fraction(int(j), M)) for j in js]
 
 
-@pytest.mark.parametrize("step", [0.0, 2.0, -0.25, float("nan"), float("inf")])
+@pytest.mark.parametrize("step", [0.0, 2.0, -0.25, float("nan"), float("inf"), 1e-320])
 @pytest.mark.parametrize(
     "build",
     [lambda s: bspline_grid(3, s),
@@ -132,6 +133,22 @@ def test_bspline_grid_matches_exact_reference(step):
 def test_grid_step_without_a_point_per_unit_raises(build, step):
     with pytest.raises(ValueError, match="grid_step"):
         build(step)
+
+
+@pytest.mark.parametrize("build", [lagrange_kernel_space, lagrange_kernel_fourier], ids=["space", "fourier"])
+def test_kernel_grid_over_the_cap_raises(build, monkeypatch):
+    # at step 1/16 and K = 20 the space route's accumulator has 1441
+    # points and the Fourier route's FFT grid 2560
+    build(bspline_generator(3), grid_step=1 / 16, K=20)
+    monkeypatch.setattr(splines, "GRID_POINT_CAP", 1000)
+    with pytest.raises(ValueError, match="exceeds 1000 points"):
+        build(bspline_generator(3), grid_step=1 / 16, K=20)
+
+
+@pytest.mark.parametrize("build", [lagrange_kernel_space, lagrange_kernel_fourier], ids=["space", "fourier"])
+def test_negative_K_raises(build):
+    with pytest.raises(ValueError, match="K must be >= 0"):
+        build(bspline_generator(3), K=-1)
 
 
 class TestBsplineSamples:
@@ -155,12 +172,12 @@ W0 = np.concatenate([[0.0, np.pi, -np.pi], np.random.default_rng(7).uniform(-np.
 SHELLS = 2**14
 
 
-def shell_sum(term, c, m):
-    """sum_{|n| <= SHELLS} term(W0, n), and a bound on the dropped shells
-    when |term(w0, n)| <= c (|n| - 1/2)^-m for w0 in [-pi, pi]:
+def shell_sum(term, c, m, w=W0):
+    """sum_{|n| <= SHELLS} term(w, n), and a bound on the dropped shells
+    when |term(w, n)| <= c (|n| - 1/2)^-m for every w:
     2 sum_{n > S} c (n - 1/2)^-m <= 2 c (S - 1/2)^(1-m) / (m - 1)."""
     ns = np.arange(-SHELLS, SHELLS + 1)
-    total = np.sum(term(W0[:, None], ns[None, :]), axis=1)
+    total = np.sum(term(w[:, None], ns[None, :]), axis=1)
     return total, 2.0 * c * (SHELLS - 0.5) ** (1 - m) / (m - 1)
 
 
@@ -201,6 +218,54 @@ class TestPeriodizedSymbol:
         assert gen.periodized(np.array([0.0]))[0] == 1.0
 
 
+def omegas(Mf):
+    """0, +-pi Mf, the lattice frequencies +-2 pi and seeded random points
+    of [-pi Mf, pi Mf]."""
+    rng = np.random.default_rng(Mf)
+    fixed = [0.0, np.pi * Mf, -np.pi * Mf, 2 * np.pi, -2 * np.pi]
+    return np.concatenate([fixed, rng.uniform(-np.pi * Mf, np.pi * Mf, 12)])
+
+
+@pytest.mark.parametrize("Mf", [2, 4, 16])
+class TestAliasedSymbol:
+    @pytest.mark.parametrize("degree", range(1, 12))
+    def test_bspline_matches_shell_sum(self, degree, Mf):
+        # |sinc((w + 2 pi Mf n) / 2 pi)|^m <= (pi Mf (|n| - 1/2))^-m, m = degree + 1
+        m, w = degree + 1, omegas(Mf)
+        term = lambda w, n: np.sinc(w / (2 * np.pi) + Mf * n) ** m
+        want, tail = shell_sum(term, (np.pi * Mf) ** -m, m, w)
+        got = bspline_generator(degree).aliased(w, Mf)
+        np.testing.assert_allclose(got, want, rtol=0, atol=tail + 1e-13)
+
+    @pytest.mark.parametrize("p", [2, 4, 6, 8])
+    def test_green_power_matches_shell_sum(self, p, Mf):
+        # |w0|^p sum_n |w + 2 pi Mf n|^-p, the n = 0 term being (|w0| / |w|)^p
+        # (1 at w = 0); the others are at most (2 Mf (|n| - 1/2))^-p
+        w = omegas(Mf)
+        w0 = np.abs(w - 2 * np.pi * np.round(w / (2 * np.pi)))
+
+        def term(w, n):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t = (w0[:, None] / np.abs(w + 2 * np.pi * Mf * n)) ** p
+            return np.where((n == 0) & (w == 0), 1.0, t)
+
+        want, tail = shell_sum(term, (2.0 * Mf) ** -p, p, w)
+        got = green_power_generator(p).aliased(w, Mf)
+        np.testing.assert_allclose(got, want, rtol=0, atol=tail + 1e-13)
+
+    def test_low_degrees_closed_forms(self, Mf):
+        # sum_n 1/(y + n) = pi cot(pi y) and sum_n 1/(y + n)^2 = pi^2 / sin^2(pi y)
+        # with y = w / 2 pi Mf: the box's alias sum is sin(w/2) cot(w / 2 Mf) / Mf
+        # and the hat's is the Fejer kernel; the shell sum above cannot take
+        # the box, whose shells are not absolutely summable
+        w = omegas(Mf)[1:]  # w != 0
+        box = np.sin(w / 2) / np.tan(w / (2 * Mf)) / Mf
+        hat = (np.sin(w / 2) / (Mf * np.sin(w / (2 * Mf)))) ** 2
+        np.testing.assert_allclose(bspline_generator(0).aliased(w, Mf), box, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(bspline_generator(1).aliased(w, Mf), hat, rtol=0, atol=1e-14)
+        assert bspline_generator(0).aliased(0.0, Mf) == 1.0
+
+
 @pytest.fixture(scope="module")
 def kernel():
     return lagrange_kernel_space(bspline_generator(3), grid_step=1.0 / 16, K=20)
@@ -238,7 +303,7 @@ class TestLagrangeKernelFourier:
     def test_route_equivalence(self):
         ks = lagrange_kernel_space(bspline_generator(3), grid_step=1.0 / 16, K=20)
         kf = lagrange_kernel_fourier(green_power_generator(4), grid_step=1.0 / 16, K=20)
-        assert np.max(np.abs(ks.samples - kf.samples)) <= 1e-6
+        assert np.max(np.abs(ks.samples - kf.samples)) <= 1e-12
         assert kf.decay.rate == pytest.approx(RATE, abs=1e-3)
 
     def test_bspline_symbol_route(self):
@@ -246,23 +311,42 @@ class TestLagrangeKernelFourier:
         # same kernel as the space route
         ks = lagrange_kernel_space(bspline_generator(3), grid_step=1.0 / 16, K=20)
         kf = lagrange_kernel_fourier(bspline_generator(3), grid_step=1.0 / 16, K=20)
-        assert np.max(np.abs(ks.samples - kf.samples)) <= 1e-6
+        assert np.max(np.abs(ks.samples - kf.samples)) <= 1e-12
+
+    @pytest.mark.parametrize("step", [1 / 8, 1 / 16, 1 / 4, 1 / 3])
+    @pytest.mark.parametrize("degree", range(2, 12))
+    def test_routes_agree(self, degree, step):
+        ks = lagrange_kernel_space(bspline_generator(degree), grid_step=step, K=20)
+        kf = lagrange_kernel_fourier(bspline_generator(degree), grid_step=step, K=20)
+        np.testing.assert_array_equal(ks.positions, kf.positions)
+        assert np.max(np.abs(ks.samples - kf.samples)) <= 1e-12
 
     def test_interpolating_at_integers(self):
         kf = lagrange_kernel_fourier(green_power_generator(4), K=20)
         want = (np.arange(-20, 21) == 0).astype(float)
-        np.testing.assert_allclose(kf.integer_samples, want, atol=1e-6)
+        np.testing.assert_allclose(kf.integer_samples, want, atol=1e-12)
 
     def test_green_power_2_is_the_hat(self):
-        # D^2's Green kernel interpolant is the degree-1 B-spline; the FFT
-        # quadrature's band limit leaves it ~1.6e-3 off
+        # D^2's Green kernel interpolant is the degree-1 B-spline
         kf = lagrange_kernel_fourier(green_power_generator(2))
         hat = np.maximum(1.0 - np.abs(kf.positions), 0.0)
-        assert np.max(np.abs(kf.samples - hat)) <= 2e-3
+        assert np.max(np.abs(kf.samples - hat)) <= 1e-14
+        assert kf.decay.model == "compact"
 
     def test_generator_validation(self):
         with pytest.raises(ValueError):
             green_power_generator(3)
+
+
+@pytest.mark.parametrize("build", [lagrange_kernel_space, lagrange_kernel_fourier], ids=["space", "fourier"])
+@pytest.mark.parametrize("step", [1 / 16, 1 / 3])
+def test_box_and_hat_are_compact(build, step):
+    box = lambda x: np.where(np.abs(x) < 0.5, 1.0, np.where(np.abs(x) == 0.5, 0.5, 0.0))
+    hat = lambda x: np.maximum(1.0 - np.abs(x), 0.0)
+    for degree, want in ((0, box), (1, hat)):
+        k = build(bspline_generator(degree), grid_step=step, K=6)
+        assert np.max(np.abs(k.samples - want(k.positions))) <= 1e-15
+        assert (k.decay.model, k.decay.rate, k.decay.order) == ("compact", np.inf, -np.inf)
 
 
 class TestInterpolate:
@@ -377,6 +461,6 @@ class TestFormats:
         g = generator_from_json({"kind": "bspline", "params": {"degree": 3}})
         assert g.params["degree"] == 3
         g = generator_from_json({"kind": "green_power", "params": {"order": 4}})
-        assert g.pole_order == 4
+        assert g.kind == "green_power" and g.params["order"] == 4
         with pytest.raises(ValueError):
             generator_from_json({"kind": "wavelet", "params": {}})

@@ -145,12 +145,6 @@ def test_kernel_grid_over_the_cap_raises(build, monkeypatch):
         build(bspline_generator(3), grid_step=1 / 16, K=20)
 
 
-@pytest.mark.parametrize("build", [lagrange_kernel_space, lagrange_kernel_fourier], ids=["space", "fourier"])
-def test_negative_K_raises(build):
-    with pytest.raises(ValueError, match="K must be >= 0"):
-        build(bspline_generator(3), K=-1)
-
-
 class TestBsplineSamples:
     def test_cubic_1d(self):
         f = bspline_samples(3)

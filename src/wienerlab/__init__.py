@@ -5,7 +5,6 @@ from .errors import (
     MathError,
     NotInvertibleError,
     SingularSymbolError,
-    SingularSystemError,
     TailBoundError,
     ToleranceUnreachableError,
     WrongBranchError,

@@ -38,14 +38,6 @@ class ToleranceUnreachableError(MathError):
         self.best_residual = best_residual
 
 
-class SingularSystemError(MathError):
-    """A dense linear system was numerically singular."""
-
-    def __init__(self, message, smallest_singular_value=None):
-        super().__init__(message)
-        self.smallest_singular_value = smallest_singular_value
-
-
 class TailBoundError(MathError):
     """Reproduction-sum tail estimate exceeds the requested tolerance."""
 

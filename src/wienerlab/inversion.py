@@ -2,7 +2,8 @@
 
 Three routes with overlapping domains (they cross-check one another):
 
-  toeplitz_oracle    dense windowed linear system, the brute-force oracle
+  toeplitz_oracle    windowed least squares by its normal equations, whose
+                     matrix is the autocorrelation's Toeplitz matrix
   invert_stable      FFT sampling of 1/hhat with an aliasing bound and a
                      residual contract
   invert_exact_1d    Laurent expansion of 1/hhat by two recurrences, from
@@ -32,7 +33,6 @@ import numpy as np
 from .errors import (
     NotInvertibleError,
     SingularSymbolError,
-    SingularSystemError,
     ToleranceUnreachableError,
     WrongBranchError,
 )
@@ -89,32 +89,36 @@ def _certified_window(h, window_radius, certificate):
 
 
 def toeplitz_oracle(h, window_radius):
-    """Invert h by solving the windowed system sum_l h[k-l] g[l] = delta[k].
+    """Least-squares inverse of h on the window of radius window_radius.
 
-    Unknowns live on the box of radius window_radius; equations run over
-    the box enlarged by the support extent of h (overdetermined), solved
-    by least squares. Independent of the FFT and root-based routes.
+    The equations h*g = delta cover the support of h*g, so the normal matrix is
+    M[i, j] = R[l_i - l_j] for R = h~*h, h~[k] = conj(h[-k]), with h~ on
+    the window as right side; by Parseval ||h*g||_2 >= min |hhat| ||g||_2,
+    so the certificate keeps M positive definite. One refinement step
+    takes its residual from h~*(delta - h*g). Convolutions are direct: no
+    FFT and no roots. Raises ValueError before allocating an M of more
+    than GRID_POINT_CAP entries.
     """
     W = _certified_window(h, window_radius, None)
-    d = h.dim
-    s = h.support.extent
-    col_box = Box((-W,) * d, (2 * W + 1,) * d)
-    row_box = Box((-W - s,) * d, (2 * (W + s) + 1,) * d)
-    cols = col_box.indices()
-    A = np.zeros((row_box.size, len(cols)), dtype=h.coeffs.dtype)
-    for k, c in zip(h.indices(), h.coeffs.ravel()):
-        if c == 0:
-            continue
-        rows = np.ravel_multi_index(tuple((cols + k - row_box.origin).T), row_box.shape)
-        A[rows, np.arange(len(cols))] += c
-    b = kronecker(d).on_box(row_box).ravel()
-    sol, _, rank, sv = np.linalg.lstsq(A, b, rcond=None)
-    if sv[-1] < 1e-12 * sv[0]:
-        raise SingularSystemError(
-            "windowed Toeplitz system is numerically singular",
-            smallest_singular_value=float(sv[-1]),
-        )
-    return Filter(col_box.origin, sol.reshape(col_box.shape))
+    d, n = h.dim, 2 * W + 1
+    if n ** (2 * d) > GRID_POINT_CAP:
+        raise ValueError(f"window_radius {W} needs a {n**d}^2 normal matrix, over {GRID_POINT_CAP} entries")
+    window = Box((-W,) * d, (n,) * d)
+    rows = Box(np.subtract(h.origin, W), np.add(h.coeffs.shape, n - 1))  # the support of h*g
+    h_adj = Filter(1 - np.add(h.origin, h.coeffs.shape), np.conj(np.flip(h.coeffs)))
+    R = convolve(h_adj, h, method="direct").on_box(Box((-2 * W,) * d, (2 * n - 1,) * d))
+    # index of l_i - l_j into R, one broadcast array per axis over (i_1..i_d, j_1..j_d)
+    step = np.subtract.outer(np.arange(n), np.arange(n)) + n - 1
+    M = R[tuple(step.reshape([n if b in (a, a + d) else 1 for b in range(2 * d)]) for a in range(d))]
+    M = M.reshape(n**d, n**d)
+
+    def solve(rhs):
+        return np.linalg.solve(M, rhs.on_box(window).ravel()).reshape(window.shape)
+
+    g = solve(h_adj)
+    e = kronecker(d).on_box(rows) - convolve(h, Filter(window.origin, g), method="direct").on_box(rows)
+    g += solve(convolve(h_adj, Filter(rows.origin, e), method="direct"))
+    return Filter(window.origin, g)
 
 
 # -- FFT route ----------------------------------------------------------------

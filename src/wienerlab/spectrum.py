@@ -52,9 +52,14 @@ def symbol_eval(h, omega):
         raise ValueError(f"omega last axis {omega.shape[-1]} != dim {h.dim}")
     lead = omega.shape[:-1]
     flat = omega.reshape(-1, h.dim)
-    ks = h.indices()
-    phase = flat @ ks.T  # (n_omega, n_coeff)
-    vals = np.exp(-1j * phase) @ h.coeffs.ravel()
+    z = np.exp(-1j * flat)
+    # Horner in z_a = e^{-i w_a} over the taps of h's support box, one axis
+    # at a time from the last; the leading axis runs over the frequencies
+    vals = h.coeffs[None]
+    for a in reversed(range(h.dim)):
+        za = z[:, a].reshape((-1,) + (1,) * a)
+        vals = reduce(lambda acc, c: acc * za + c, np.moveaxis(vals, -1, 0)[::-1])
+    vals = vals * np.exp(-1j * (flat @ h.origin))
     if scalar_in:
         return complex(vals[0])
     return vals.reshape(lead)

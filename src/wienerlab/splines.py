@@ -213,12 +213,12 @@ class LagrangeKernel:
         idx = (xs - lo) / self.grid_step
         near = np.rint(idx)
         out = np.zeros_like(xs)
-        inside = (near >= 0) & (near <= len(self.samples) - 1)
+        inside = (idx > -1e-9) & (idx < len(self.samples) - 1 + 1e-9)
         on_grid = inside & (np.abs(idx - near) < 1e-9)
         out[on_grid] = self.samples[near[on_grid].astype(int)]
-        off = inside & ~on_grid
+        off = inside & ~on_grid  # so 0 < idx < len - 1
         if np.any(off):
-            i0 = np.clip(np.floor(idx[off]).astype(int), 0, len(self.samples) - 2)
+            i0 = np.floor(idx[off]).astype(int)
             frac = idx[off] - i0
             out[off] = (1 - frac) * self.samples[i0] + frac * self.samples[i0 + 1]
         return out

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -228,3 +231,14 @@ def test_bad_input_exits_1_with_one_line(argv, names, tmp_path, capsys, monkeypa
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == "" and list(tmp_path.iterdir()) == []
     assert err.startswith("wienerlab: ") and err.count("\n") == 1 and names in err
+
+
+def test_import_loads_no_slow_scipy_subpackage():
+    # scipy.linalg, scipy.sparse and scipy.signal each add tens of ms to
+    # every start of the CLI; wienerlab needs none of them
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = "import sys, wienerlab, wienerlab.cli; print(' '.join(sys.modules))"
+    env = dict(os.environ, PYTHONPATH=src)
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    slow = {"scipy.linalg", "scipy.sparse", "scipy.signal"}
+    assert [m for m in loaded.stdout.split() if ".".join(m.split(".")[:2]) in slow] == []

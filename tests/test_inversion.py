@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wienerlab import (
@@ -23,6 +23,7 @@ from wienerlab import (
     residual_sup,
     toeplitz_oracle,
 )
+from wienerlab import inversion
 
 SQRT3 = np.sqrt(3.0)
 
@@ -299,6 +300,51 @@ class TestToeplitzOracle:
     def test_negative_window_radius_raises(self):
         with pytest.raises(ValueError, match="window_radius"):
             toeplitz_oracle(cubic(), -1)
+
+    def test_2d_non_separable_matches_invert_stable(self):
+        rng = np.random.default_rng(2)
+        c = rng.uniform(-0.08, 0.08, (3, 3))
+        c[1, 1] += 1.0
+        assert np.linalg.matrix_rank(c) == 3
+        h = Filter((-1, -1), c)
+        inner = Box((-5, -5), (11, 11))
+        gap = toeplitz_oracle(h, 10).on_box(inner) - invert_stable(h, 1e-12, 10).on_box(inner)
+        assert np.max(np.abs(gap)) < 1e-10
+
+    def test_complex_1d_matches_invert_stable(self):
+        h = stable_filter(np.random.default_rng(4), 5, complex_roots=True)
+        assert h.is_complex
+        inner = Box((-30,), (61,))
+        go = toeplitz_oracle(h, 90)
+        assert go.is_complex
+        assert np.max(np.abs(go.on_box(inner) - invert_stable(h, 1e-12, 90).on_box(inner))) < 1e-10
+
+    def test_normal_matrix_over_the_cap_raises(self, monkeypatch):
+        # radius 15 has a 31^2 = 961-entry normal matrix, radius 16 one of 1089
+        monkeypatch.setattr(inversion, "GRID_POINT_CAP", 1000)
+        toeplitz_oracle(cubic(), 15)
+        with pytest.raises(ValueError, match="window_radius 16"):
+            toeplitz_oracle(cubic(), 16)
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2]))
+    @settings(max_examples=10, deadline=None)
+    def test_windowed_system_is_bounded_below_by_the_certificate(self, seed, d):
+        # by Parseval sigma_min(A) >= min |hhat| for the windowed convolution
+        # matrix A, whose rows cover the support of h*g: the certificate
+        # keeps the oracle's normal matrix A^H A positive definite
+        rng = np.random.default_rng(seed)
+        c = rng.standard_normal((4,) * d) + 1j * rng.standard_normal((4,) * d)
+        c.flat[int(rng.integers(c.size))] += rng.uniform(0.6, 1.2) * np.sum(np.abs(c))
+        h = Filter(tuple(rng.integers(-3, 4, d)), c)
+        cert = min_modulus_certified(h)
+        assume(cert.status == "certified")
+        W = 12 if d == 1 else 4
+        cols = Box((-W,) * d, (2 * W + 1,) * d)
+        rows = Box(np.subtract(h.origin, W), np.add(c.shape, 2 * W))
+        A = np.zeros((rows.size, cols.size), dtype=complex)
+        for j, l in enumerate(cols.indices()):
+            A[:, j] = convolve(h, Filter(tuple(l), np.ones((1,) * d))).on_box(rows).ravel()
+        assert np.linalg.svd(A, compute_uv=False)[-1] >= cert.certified_lower_bound
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=10, deadline=None)

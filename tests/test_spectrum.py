@@ -58,6 +58,18 @@ class TestSymbolEval:
             symbol_eval(a, w) * symbol_eval(b, w), abs=1e-13
         )
 
+    @given(st.integers(0, 2**32 - 1), st.lists(st.integers(1, 64), min_size=1, max_size=3))
+    @settings(max_examples=30, deadline=None)
+    def test_horner_matches_the_exponential_sum(self, seed, shape):
+        rng = np.random.default_rng(seed)
+        d = len(shape)
+        h = Filter(tuple(rng.integers(-50, 51, d)), rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        ws = rng.uniform(-2 * np.pi, 2 * np.pi, (5, d))
+        direct = np.exp(-1j * ws @ h.indices().T) @ h.coeffs.ravel()
+        gap = np.max(np.abs(symbol_eval(h, ws) - direct))
+        # both sums lose about eps |<w, k>| per term, and |<w, k>| < 2200 here
+        assert gap <= 1e-12 * np.sum(np.abs(h.coeffs))
+
 
 class TestModulusCertificate:
     def test_cubic_certified(self):

@@ -287,6 +287,13 @@ class TestLagrangeKernelSpace:
         assert min(lo, hi) <= off <= max(lo, hi)
         assert kernel.evaluate([25.0])[0] == 0.0
 
+    def test_evaluate_is_zero_past_the_grid_ends(self):
+        # within half a step past an end, rint(idx) is the end sample's index
+        coarse = lagrange_kernel_space(bspline_generator(3), grid_step=0.25, K=20)
+        xs = np.array([20 + 0.25 / 4, 20.1])
+        np.testing.assert_array_equal(coarse.evaluate(np.r_[xs, -xs]), 0.0)
+        assert coarse.evaluate([20.0])[0] == coarse.samples[-1]
+
     def test_even_symmetry(self, kernel):
         mid = len(kernel.samples) // 2
         np.testing.assert_allclose(kernel.samples, kernel.samples[::-1], atol=1e-12)

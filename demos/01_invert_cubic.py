@@ -31,7 +31,7 @@ print(f"\nFFT route: residual sup |h*g - delta| = {residual_sup(h, g_fft, 39):.2
 g_lsq = toeplitz_oracle(h, 30)
 ks = np.arange(-30, 31)
 diff = max(abs(g_fft.coeff_at((k,)) - g_lsq.coeff_at((k,))) for k in ks)
-print(f"normal-equation least-squares oracle agrees with FFT route to {diff:.2e}")
+print(f"least-squares oracle (banded normal equations, factored once) agrees with FFT route to {diff:.2e}")
 
 print("\nfirst few inverse coefficients:")
 for k in range(4):

@@ -3,7 +3,8 @@
 Three routes with overlapping domains (they cross-check one another):
 
   toeplitz_oracle    windowed least squares by its normal equations, whose
-                     matrix is the autocorrelation's Toeplitz matrix
+                     matrix is the autocorrelation's Toeplitz matrix: banded,
+                     and factored once by block Cholesky
   invert_stable      FFT sampling of 1/hhat with an aliasing bound and a
                      residual contract
   invert_exact_1d    Laurent expansion of 1/hhat by two recurrences, from
@@ -55,7 +56,8 @@ __all__ = [
 UNIT_CIRCLE_TOL = 1e-8
 FFT_GRID_START = 2  # doubled up to the first grid, N >= 2 W + 2
 FFT_GRID_CAP = 2**16
-MIN_FIT_SAMPLES = 16  # decay_fit and decay_fit_samples need this many points
+MIN_FIT_SAMPLES = 16  # decay_fit needs this many points
+MIN_OUTER_BINS = 3  # decay_fit_samples needs this many envelope bins in _outer_half
 
 
 def residual_sup(h, g, radius):
@@ -94,10 +96,11 @@ def toeplitz_oracle(h, window_radius):
     The equations h*g = delta cover the support of h*g, so the normal matrix is
     M[i, j] = R[l_i - l_j] for R = h~*h, h~[k] = conj(h[-k]), with h~ on
     the window as right side; by Parseval ||h*g||_2 >= min |hhat| ||g||_2,
-    so the certificate keeps M positive definite. One refinement step
-    takes its residual from h~*(delta - h*g). Convolutions are direct: no
-    FFT and no roots. Raises ValueError before allocating an M of more
-    than GRID_POINT_CAP entries.
+    so the certificate keeps M positive definite. M is banded, and its
+    block Cholesky factor, computed once, serves the solve and one
+    refinement step, whose residual is h~*(delta - h*g). Convolutions are
+    direct: no FFT and no roots. Raises ValueError before allocating an M
+    of more than GRID_POINT_CAP entries.
     """
     W = _certified_window(h, window_radius, None)
     d, n = h.dim, 2 * W + 1
@@ -107,18 +110,54 @@ def toeplitz_oracle(h, window_radius):
     rows = Box(np.subtract(h.origin, W), np.add(h.coeffs.shape, n - 1))  # the support of h*g
     h_adj = Filter(1 - np.add(h.origin, h.coeffs.shape), np.conj(np.flip(h.coeffs)))
     R = convolve(h_adj, h, method="direct").on_box(Box((-2 * W,) * d, (2 * n - 1,) * d))
-    # index of l_i - l_j into R, one broadcast array per axis over (i_1..i_d, j_1..j_d)
-    step = np.subtract.outer(np.arange(n), np.arange(n)) + n - 1
-    M = R[tuple(step.reshape([n if b in (a, a + d) else 1 for b in range(2 * d)]) for a in range(d))]
-    M = M.reshape(n**d, n**d)
+    # windows of the reversed R hold R[l_i - l_j] at (n-1-i, j), per axis
+    M = np.lib.stride_tricks.sliding_window_view(np.flip(R), (n,) * d)
+    M = np.flip(M, axis=tuple(range(d))).reshape(n**d, n**d)
+    # R vanishes beyond lag L_a - 1 on axis a; in row-major order that bounds |i - j|
+    bw = sum(min(L - 1, n - 1) * n ** (d - 1 - a) for a, L in enumerate(h.coeffs.shape))
+    solve_flat = _banded_cholesky(M, bw)
 
     def solve(rhs):
-        return np.linalg.solve(M, rhs.on_box(window).ravel()).reshape(window.shape)
+        return solve_flat(rhs.on_box(window).ravel()).reshape(window.shape)
 
     g = solve(h_adj)
     e = kronecker(d).on_box(rows) - convolve(h, Filter(window.origin, g), method="direct").on_box(rows)
     g += solve(convolve(h_adj, Filter(rows.origin, e), method="direct"))
     return Filter(window.origin, g)
+
+
+# Rows per block of the banded Cholesky at least: below it the Python loop
+# over the blocks costs more than the LAPACK work inside each block
+BAND_BLOCK_MIN = 32
+
+
+def _banded_cholesky(M, bw):
+    """solve(b) for the Hermitian positive definite M, zero where |i - j| > bw.
+
+    Blocks of s = max(bw, BAND_BLOCK_MIN) rows make M block tridiagonal,
+    so M = L L^H with L block lower bidiagonal: D_k = chol(M_kk - C_k C_k^H)
+    on the diagonal and C_{k+1} = M_{k+1,k} D_k^{-H} below it. Each D_k is
+    inverted once; solve runs the block forward and back substitutions.
+    """
+    s = max(bw, BAND_BLOCK_MIN)
+    blocks = [slice(a, a + s) for a in range(0, len(M), s)]
+    D_inv, C = [], [None]  # C[k] is C_k, below D_{k-1}
+    for k, b in enumerate(blocks):
+        Mkk = M[b, b] - C[k] @ C[k].conj().T if k else M[b, b]
+        D_inv.append(np.linalg.inv(np.linalg.cholesky(Mkk)))
+        if k + 1 < len(blocks):
+            C.append(M[blocks[k + 1], b] @ D_inv[k].conj().T)
+
+    def solve(rhs):
+        y = [D_inv[0] @ rhs[blocks[0]]]
+        for k in range(1, len(blocks)):
+            y.append(D_inv[k] @ (rhs[blocks[k]] - C[k] @ y[-1]))
+        x = [D_inv[-1].conj().T @ y[-1]]
+        for k in range(len(blocks) - 2, -1, -1):
+            x.append(D_inv[k].conj().T @ (y[k] - C[k + 1].conj().T @ x[-1]))
+        return np.concatenate(x[::-1])
+
+    return solve
 
 
 # -- FFT route ----------------------------------------------------------------
@@ -480,7 +519,8 @@ def decay_fit_samples(positions, values):
 
     Samples are folded to |x| and reduced to their per-unit-interval
     envelope max before fitting, which removes the periodic modulation
-    and the zero crossings of oscillating kernels.
+    and the zero crossings of oscillating kernels. The fit needs
+    MIN_OUTER_BINS envelope samples in the outer half, the part it fits.
     """
     positions = np.abs(np.asarray(positions, dtype=float))
     values = np.abs(np.asarray(values, dtype=float))
@@ -493,24 +533,24 @@ def decay_fit_samples(positions, values):
     far = positions >= 1
     if np.any(far) and np.all(values[far] < floor):
         return DecayReport("compact", np.inf, -np.inf, float(np.max(values)), 0.0, 0.0, box)
-    centers, env = [], []
-    for j in range(n_bins):
-        sel = (positions >= j) & (positions < j + 1)
-        if np.any(sel):
-            m = float(np.max(values[sel]))
-            if m > floor:
-                centers.append(j + 0.5)
-                env.append(m)
-    if len(env) < MIN_FIT_SAMPLES:
-        raise ValueError(f"need at least {MIN_FIT_SAMPLES} envelope samples")
-    centers = np.asarray(centers)
-    env = np.asarray(env)
+    # envelope of bin j = max over [j, j+1) for j < n_bins; an empty bin
+    # stays 0, below any floor
+    env = np.zeros(n_bins + 1)
+    np.maximum.at(env, np.floor(positions).astype(int), values)
+    keep = np.flatnonzero(env[:n_bins] > floor)
+    centers, env = keep + 0.5, env[keep]
+    if np.count_nonzero(_outer_half(centers)) < MIN_OUTER_BINS:
+        raise ValueError(f"need at least {MIN_OUTER_BINS} envelope samples in the outer half")
     return _dual_model_fit(centers, centers, env, box)
 
 
+def _outer_half(dist):
+    """Mask of the distances the fits use: at least 1 and half the largest."""
+    return dist >= max(np.max(dist, initial=0.0) / 2.0, 1.0)
+
+
 def _dual_model_fit(dist1, dist2, vals, window):
-    cutoff = np.max(dist1) / 2.0
-    sel = dist1 >= max(cutoff, 1.0)
+    sel = _outer_half(dist1)
     d1, d2, v = dist1[sel], dist2[sel], vals[sel]
     logv = np.log(v)
 

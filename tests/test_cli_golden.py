@@ -63,6 +63,7 @@ CASES = {
     "spline-both": ["spline-lagrange", "--degree", "3", "--route", "both", "--grid-step", "0.25", "--K", "16", "--out", "k.csv"],
     "spline-fourier": ["spline-lagrange", "--degree", "5", "--route", "fourier", "--grid-step", "0.25", "--K", "16", "--out", "k.csv"],
     "spline-out-dash": ["spline-lagrange", "--degree", "3", "--grid-step", "0.5", "--K", "16", "--out", "-"],
+    "spline-k10": ["spline-lagrange", "--K", "10", "--out", "k.csv"],
     "spline-hat": ["spline-lagrange", "--degree", "1", "--grid-step", "0.25", "--K", "4", "--out", "k.csv"],
     "spline-green2": [
         "spline-lagrange", "--generator", '{"kind": "green_power", "params": {"order": 2}}',

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from wienerlab import (
@@ -16,9 +16,11 @@ from wienerlab import (
     bspline_samples,
     convolve,
     decay_fit,
+    decay_fit_samples,
     invert_exact_1d,
     invert_singular_1d,
     invert_stable,
+    kronecker,
     min_modulus_certified,
     residual_sup,
     toeplitz_oracle,
@@ -285,6 +287,27 @@ class TestGridGrowth:
         assert largest_grid(monkeypatch, Filter((0,), c / np.max(np.abs(c))), 134) <= 512
 
 
+def windowed_matrix(h, W):
+    """(A, rows, cols): the matrix of g -> h*g from the window of radius W
+    (cols) to the support of h*g (rows), built column by column."""
+    d = h.dim
+    cols = Box((-W,) * d, (2 * W + 1,) * d)
+    rows = Box(np.subtract(h.origin, W), np.add(h.coeffs.shape, 2 * W))
+    A = np.zeros((rows.size, cols.size), dtype=h.coeffs.dtype)
+    for j, l in enumerate(cols.indices()):
+        A[:, j] = convolve(h, Filter(tuple(l), np.ones((1,) * d))).on_box(rows).ravel()
+    return A, rows, cols
+
+
+@st.composite
+def oracle_case(draw):
+    """(d, W, taps per axis, origin shift, complex, seed) for the band solve."""
+    d = draw(st.integers(1, 3))
+    W = draw(st.integers(0, (40, 6, 2)[d - 1]))
+    L = draw(st.integers(1, (12, 4, 3)[d - 1]))
+    return d, W, L, draw(st.integers(-3, 3)), draw(st.booleans()), draw(st.integers(0, 2**32 - 1))
+
+
 class TestToeplitzOracle:
     def test_cubic_agreement(self):
         h = cubic()
@@ -338,13 +361,27 @@ class TestToeplitzOracle:
         h = Filter(tuple(rng.integers(-3, 4, d)), c)
         cert = min_modulus_certified(h)
         assume(cert.status == "certified")
-        W = 12 if d == 1 else 4
-        cols = Box((-W,) * d, (2 * W + 1,) * d)
-        rows = Box(np.subtract(h.origin, W), np.add(c.shape, 2 * W))
-        A = np.zeros((rows.size, cols.size), dtype=complex)
-        for j, l in enumerate(cols.indices()):
-            A[:, j] = convolve(h, Filter(tuple(l), np.ones((1,) * d))).on_box(rows).ravel()
+        A, _, _ = windowed_matrix(h, 12 if d == 1 else 4)
         assert np.linalg.svd(A, compute_uv=False)[-1] >= cert.certified_lower_bound
+
+    @given(oracle_case())
+    @example((1, 0, 3, 2, False, 0))  # W = 0: one 1-row block, 0 outside the rows
+    @example((1, 10, 4, -1, True, 1))  # n = 21 rows, all in one block
+    @example((1, 40, 5, 0, False, 2))  # n = 81 rows in blocks of 32, 32, 17
+    @example((2, 3, 7, -2, True, 3))  # bw = 48 of 49 rows: blocks of 48 and 1
+    @example((3, 2, 3, 1, False, 4))  # 125 rows, bw = 62: blocks of 62, 62, 1
+    @settings(max_examples=25, deadline=None)
+    def test_banded_solve_matches_dense_least_squares(self, case):
+        d, W, L, shift, is_complex, seed = case
+        rng = np.random.default_rng(seed)
+        c = rng.standard_normal((L,) * d) + (1j * rng.standard_normal((L,) * d) if is_complex else 0)
+        # one tap outweighs all others by >= 0.2 of their drawn sum: |hhat| stays away from 0, A well conditioned
+        c.flat[int(rng.integers(c.size))] += rng.uniform(1.2, 2.0) * np.sum(np.abs(c))
+        h = Filter((shift,) * d, c)
+        A, rows, cols = windowed_matrix(h, W)
+        want = np.linalg.lstsq(A, kronecker(d).on_box(rows).ravel(), rcond=None)[0]
+        got = toeplitz_oracle(h, W).on_box(cols).ravel()
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=10, deadline=None)
@@ -485,3 +522,13 @@ class TestDecayFit:
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
             decay_fit(Filter((0,), np.array([1.0])))
+
+    def test_samples_need_three_envelope_bins_in_the_outer_half(self):
+        # the fit uses the bins with centre >= max(largest centre / 2, 1)
+        xs = np.arange(-5, 5.001, 0.25)
+        rep = decay_fit_samples(xs, np.exp(-np.abs(xs)))  # outer centres 2.5, 3.5, 4.5
+        assert rep.model == "exponential"
+        assert rep.rate == pytest.approx(1.0, abs=1e-12)
+        near = np.abs(xs) <= 2
+        with pytest.raises(ValueError, match="at least 3 envelope samples"):
+            decay_fit_samples(xs[near], np.exp(-np.abs(xs[near])))  # only 1.5 is outer

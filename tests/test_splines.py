@@ -24,7 +24,7 @@ from wienerlab import (
     polynomial_weight,
     reproduction_check,
 )
-from wienerlab import splines
+from wienerlab import inversion, splines
 from wienerlab.splines import bspline_grid
 
 RATE = np.log(2 + np.sqrt(3))
@@ -260,6 +260,20 @@ class TestAliasedSymbol:
         assert bspline_generator(0).aliased(0.0, Mf) == 1.0
 
 
+def loop_envelope_fit(k):
+    """decay_fit_samples' report from an envelope taken bin by bin, one mask
+    per unit interval; max is exact, so it must equal k.decay bit for bit."""
+    positions, values = np.abs(k.positions), np.abs(k.samples)
+    floor = np.max(values) * 1e-12
+    centers, env = [], []
+    for j in range(int(np.floor(np.max(positions)))):
+        sel = (positions >= j) & (positions < j + 1)
+        if np.any(sel) and np.max(values[sel]) > floor:
+            centers.append(j + 0.5)
+            env.append(np.max(values[sel]))
+    return inversion._dual_model_fit(np.array(centers), np.array(centers), np.array(env), k.decay.window_used)
+
+
 @pytest.fixture(scope="module")
 def kernel():
     return lagrange_kernel_space(bspline_generator(3), grid_step=1.0 / 16, K=20)
@@ -278,6 +292,14 @@ class TestLagrangeKernelSpace:
     def test_decay_rate(self, kernel):
         assert kernel.decay.model == "exponential"
         assert kernel.decay.rate == pytest.approx(RATE, abs=1e-3)
+        assert kernel.decay == loop_envelope_fit(kernel)
+
+    @pytest.mark.parametrize("build", [lagrange_kernel_space, lagrange_kernel_fourier], ids=["space", "fourier"])
+    @pytest.mark.parametrize("K", [6, 10, 15])
+    def test_short_kernel_decay_is_fitted(self, build, K):
+        k = build(bspline_generator(3), grid_step=1.0 / 16, K=K)
+        assert k.decay.model == "exponential"
+        assert k.decay.rate == pytest.approx(RATE, abs=1e-3)
 
     def test_evaluate_on_and_off_grid(self, kernel):
         on = kernel.evaluate([0.0625])[0]
@@ -321,6 +343,8 @@ class TestLagrangeKernelFourier:
         kf = lagrange_kernel_fourier(bspline_generator(degree), grid_step=step, K=20)
         np.testing.assert_array_equal(ks.positions, kf.positions)
         assert np.max(np.abs(ks.samples - kf.samples)) <= 1e-12
+        assert ks.decay == loop_envelope_fit(ks)
+        assert kf.decay == loop_envelope_fit(kf)
 
     def test_interpolating_at_integers(self):
         kf = lagrange_kernel_fourier(green_power_generator(4), K=20)

@@ -27,8 +27,10 @@ import numpy as np
 from scipy.special import polygamma, zeta
 
 from .errors import TailBoundError
-from .inversion import decay_fit_samples, invert_exact_1d, invert_stable
-from .lattice import GRID_POINT_CAP, Filter, convolve
+from .inversion import decay_fit_samples, invert_exact_1d
+# re-exported only for the install check at bench/test_bench.py:132, which ROADMAP item 0 moves
+from .inversion import invert_stable  # noqa: F401
+from .lattice import GRID_POINT_CAP, Box, Filter, convolve
 
 __all__ = [
     "bspline_value",
@@ -102,7 +104,9 @@ def bspline_grid(degree, grid_step):
     n = _degree(degree)
     M = _grid_points(grid_step)
     js = np.arange(-(n + 1) * M // 2 - 1, (n + 1) * M // 2 + 2)  # the support, one point beyond each end
-    return js / M, np.array([_bspline_at(n, int(j), M) for j in js])
+    # B_n is even and each value exact, so the |j| values mirror bit for bit
+    half = np.array([_bspline_at(n, j, M) for j in range(-js[0] + 1)])
+    return js / M, half[np.abs(js)]
 
 
 def bspline_samples(degree, d=1):
@@ -204,7 +208,6 @@ class LagrangeKernel:
     samples: np.ndarray
     integer_samples: np.ndarray
     integer_range: int
-    inverse_filter: Filter
     decay: object
 
     def evaluate(self, xs):
@@ -225,44 +228,41 @@ class LagrangeKernel:
 
 
 def _inverse_filter_for(phi_samples):
-    """Windowed inverse of the generator's integer samples, wide enough
-    that the dropped coefficients are below TAIL_TOL."""
+    """Inverse of the generator's integer samples, cut to the window past
+    which its taps fall below TAIL_TOL: the exact 1-D inverse, with the
+    radius read off its decay rate."""
     if phi_samples.coeffs.size == 1:
         return Filter((0,), 1.0 / phi_samples.coeffs)
     exact = invert_exact_1d(phi_samples)
     scale = max(abs(exact.evaluate([0])[0]), 1.0)
     radius = int(np.ceil(np.log(scale / TAIL_TOL) / exact.decay_rate)) + 4
-    return invert_stable(phi_samples, tail_tol=TAIL_TOL, window_radius=radius)
+    return exact.to_filter(radius)
 
 
-def _kernel(M, K, samples, inverse_filter):
+def _kernel(M, K, samples):
     """LagrangeKernel of the samples at j/M, |j| <= K M."""
     positions = np.arange(-K * M, K * M + 1) / M
     decay = decay_fit_samples(positions, samples)
-    return LagrangeKernel(1.0 / M, positions, samples, samples[::M], K, inverse_filter, decay)
+    return LagrangeKernel(1.0 / M, positions, samples, samples[::M], K, decay)
 
 
 def lagrange_kernel_space(gen, grid_step=1.0 / 16, K=20):
-    """Space-domain Lagrange kernel: phi_int = sum_k h[k] phi(. - k)."""
+    """Space-domain Lagrange kernel: phi_int = sum_k h[k] phi(. - k), at
+    j/M the convolution of the M-upsampled taps h with phi's grid."""
     if gen.kind != "bspline":
         raise ValueError("space route needs a B-spline generator")
     degree = gen.params["degree"]
     M = _grid_points(grid_step)
     h = _inverse_filter_for(bspline_samples(degree))
-    keep = np.abs(h.coeffs) >= TAIL_TOL
-    hk, hv = h.indices().ravel()[keep], h.coeffs[keep]
-
-    # phi_int on the fine grid as an upsampled discrete convolution; phi's grid
-    # reaches degree // 2 + 2, so pad keeps every base + k M + n_side inside acc
-    pad = int(np.max(np.abs(hk))) + degree // 2 + 3
-    n_side = (K + pad) * M
-    _check_kernel_size(K, 2 * n_side + 1)
+    h = Filter(h.origin, np.where(np.abs(h.coeffs) >= TAIL_TOL, h.coeffs, 0.0))
+    width = (h.coeffs.size - 1) * M + 1
+    # phi's grid has (degree + 1) M + 3 points
+    _check_kernel_size(K, max(width + (degree + 1) * M + 2, 2 * K * M + 1))
     phi_xs, phi_vals = bspline_grid(degree, grid_step)
-    acc = np.zeros(2 * n_side + 1)
-    base = np.rint(phi_xs * M).astype(int)
-    for k, v in zip(hk, hv):
-        acc[base + k * M + n_side] += v * phi_vals
-    return _kernel(M, K, acc[n_side - K * M : n_side + K * M + 1], h)
+    upsampled = np.zeros(width)
+    upsampled[::M] = h.coeffs
+    phi_int = Filter((h.origin[0] * M + round(phi_xs[0] * M),), np.convolve(upsampled, phi_vals))
+    return _kernel(M, K, phi_int.on_box(Box((-K * M,), (2 * K * M + 1,))))
 
 
 def lagrange_kernel_fourier(gen, grid_step=1.0 / 16, K=20):
@@ -280,7 +280,7 @@ def lagrange_kernel_fourier(gen, grid_step=1.0 / 16, K=20):
     omega = 2.0 * np.pi * Mf * np.fft.fftfreq(N)
     omega0 = omega - 2.0 * np.pi * np.round(omega / (2.0 * np.pi))
     space = np.fft.ifft(gen.aliased(omega, Mf) / gen.periodized(omega0)).real * Mf
-    return _kernel(M, K, space[np.arange(-K * M, K * M + 1) * (Mf // M) % N], None)
+    return _kernel(M, K, space[np.arange(-K * M, K * M + 1) * (Mf // M) % N])
 
 
 def interpolate(data, gen):
@@ -331,9 +331,7 @@ def reproduction_check(p, kernel, target, xs, K_sum, tol=1e-9):
             f"tail estimate {tail:.3e} exceeds tolerance {tol:.1e}; increase K_sum",
             tail_estimate=tail,
         )
-    vals = np.empty_like(xs)
-    for i, x in enumerate(xs):
-        vals[i] = float(np.dot(pk, kernel.evaluate(x - ks)))
+    vals = kernel.evaluate(np.subtract.outer(xs, ks)) @ pk
     residual = float(np.max(np.abs(vals - np.asarray([target(x) for x in xs]))))
     return {"max_residual": residual, "tail_estimate": float(tail), "values": vals}
 

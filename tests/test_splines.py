@@ -18,6 +18,7 @@ from wienerlab import (
     generator_from_json,
     green_power_generator,
     interpolate,
+    invert_stable,
     kernel_to_csv,
     lagrange_kernel_fourier,
     lagrange_kernel_space,
@@ -137,12 +138,46 @@ def test_grid_step_without_a_point_per_unit_raises(build, step):
 
 @pytest.mark.parametrize("build", [lagrange_kernel_space, lagrange_kernel_fourier], ids=["space", "fourier"])
 def test_kernel_grid_over_the_cap_raises(build, monkeypatch):
-    # at step 1/16 and K = 20 the space route's accumulator has 1441
-    # points and the Fourier route's FFT grid 2560
+    # at step 1/16 and K = 20 the space route's convolution has 739 points
+    # and the Fourier route's FFT grid 2560; the cap is checked before
+    # phi's grid is built
     build(bspline_generator(3), grid_step=1 / 16, K=20)
-    monkeypatch.setattr(splines, "GRID_POINT_CAP", 1000)
-    with pytest.raises(ValueError, match="exceeds 1000 points"):
+    monkeypatch.setattr(splines, "GRID_POINT_CAP", 700)
+    monkeypatch.setattr(splines, "bspline_grid", None)
+    with pytest.raises(ValueError, match="exceeds 700 points"):
         build(bspline_generator(3), grid_step=1 / 16, K=20)
+
+
+@pytest.mark.parametrize("degree", range(2, 12))
+def test_inverse_filter_matches_fft_route(degree):
+    # the exact 1-D inverse against invert_stable's FFT inverse on its window
+    samples = bspline_samples(degree)
+    h = splines._inverse_filter_for(samples)
+    radius = -h.origin[0]
+    window = Box((-radius,), (2 * radius + 1,))
+    assert h.support == window
+    ref = invert_stable(samples, splines.TAIL_TOL, radius).on_box(window)
+    assert np.max(np.abs(h.coeffs - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def per_tap_kernel(degree, step, K):
+    """The space kernel on |j| <= K M as phi's grid added once per tap."""
+    M = round(1 / step)
+    h = splines._inverse_filter_for(bspline_samples(degree))
+    keep = np.abs(h.coeffs) >= splines.TAIL_TOL
+    phi_xs, phi_vals = bspline_grid(degree, step)
+    n_side = (K + h.coeffs.size + degree) * M
+    acc = np.zeros(2 * n_side + 1)
+    for k, v in zip(h.indices().ravel()[keep], h.coeffs[keep]):
+        acc[np.rint(phi_xs * M).astype(int) + k * M + n_side] += v * phi_vals
+    return acc[n_side - K * M : n_side + K * M + 1]
+
+
+@pytest.mark.parametrize("step", [1 / 2, 1 / 3, 1 / 8, 1 / 64])
+def test_space_kernel_matches_per_tap_sum(step):
+    for degree in range(12):
+        k = lagrange_kernel_space(bspline_generator(degree), grid_step=step, K=20)
+        assert np.max(np.abs(k.samples - per_tap_kernel(degree, step, 20))) <= 4e-15
 
 
 class TestBsplineSamples:
@@ -429,6 +464,14 @@ class TestReproduction:
             tol=1e-6,
         )
         assert res["max_residual"] <= 1e-6
+
+    def test_values_match_per_x_sum(self, wide_kernel):
+        xs = np.arange(-5.0, 5.0 + 1e-9, 1.0 / 16)
+        ks = np.arange(-40, 41)
+        p = lambda k: np.abs(k.astype(float)) ** 3
+        res = reproduction_check(p, wide_kernel, lambda x: abs(x) ** 3, xs, K_sum=40, tol=1e-6)
+        want = np.array([np.dot(p(ks), wide_kernel.evaluate(x - ks)) for x in xs])
+        assert np.max(np.abs(res["values"] - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_tail_bound_enforced(self, wide_kernel):
         xs = np.array([0.5])

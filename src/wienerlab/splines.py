@@ -312,6 +312,8 @@ def reproduction_check(p, kernel, target, xs, K_sum, tol=1e-9):
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     ks = np.arange(-K_sum, K_sum + 1)
+    if xs.size * ks.size > GRID_POINT_CAP:
+        raise ValueError(f"reproduction grid of {xs.size} x {ks.size} points exceeds {GRID_POINT_CAP} points")
     pk = np.asarray(p(ks), dtype=float)
 
     decay = kernel.decay

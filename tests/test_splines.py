@@ -473,6 +473,15 @@ class TestReproduction:
         want = np.array([np.dot(p(ks), wide_kernel.evaluate(x - ks)) for x in xs])
         assert np.max(np.abs(res["values"] - want)) <= 1e-14 * np.max(np.abs(want))
 
+    def test_grid_over_the_cap_raises(self, wide_kernel, monkeypatch):
+        # the kernel is evaluated on all 161 x 81 points (x, k) at once
+        xs = np.arange(-5.0, 5.0 + 1e-9, 1.0 / 16)
+        args = (lambda k: np.abs(k.astype(float)) ** 3, wide_kernel, lambda x: abs(x) ** 3, xs)
+        reproduction_check(*args, K_sum=40, tol=1e-6)
+        monkeypatch.setattr(splines, "GRID_POINT_CAP", 161 * 81 - 1)
+        with pytest.raises(ValueError, match="161 x 81 points exceeds"):
+            reproduction_check(*args, K_sum=40, tol=1e-6)
+
     def test_tail_bound_enforced(self, wide_kernel):
         xs = np.array([0.5])
         with pytest.raises(TailBoundError):

@@ -196,14 +196,10 @@ def _cmd_reproduce(args):
     x_max = max(abs(args.x_min), abs(args.x_max))
     K = args.k_sum + int(np.ceil(x_max)) + 2
     kernel = lagrange_kernel_space(gen, grid_step=args.x_step, K=K)
-    if args.target == "xplus3":
-        p = lambda ks: np.where(ks >= 0, ks.astype(float) ** 3, 0.0)
-        target = lambda x: max(x, 0.0) ** 3
-    elif args.target == "absx3":
-        p = lambda ks: np.abs(ks.astype(float)) ** 3
-        target = lambda x: abs(x) ** 3
-    else:
-        raise ValueError(f"unknown target {args.target!r}")
+    p, target = {
+        "xplus3": (lambda ks: np.where(ks >= 0, ks.astype(float) ** 3, 0.0), lambda x: max(x, 0.0) ** 3),
+        "absx3": (lambda ks: np.abs(ks.astype(float)) ** 3, lambda x: abs(x) ** 3),
+    }[args.target]
     xs = np.arange(args.x_min, args.x_max + args.x_step / 2, args.x_step)
     res = reproduction_check(p, kernel, target, xs, args.k_sum, tol=args.tol)
     _write_json(

@@ -313,7 +313,7 @@ def filter_from_json(obj):
         origin = [int(x) for x in obj["origin"]]
         shape = [int(x) for x in obj["shape"]]
         coeffs = np.asarray(obj["coeffs"], dtype=float)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed Filter JSON: {exc}") from exc
     if len(origin) != dim or len(shape) != dim:
         raise ValueError("origin/shape length does not match dim")

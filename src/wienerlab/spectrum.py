@@ -197,9 +197,7 @@ def derivative_growth(h, n_max):
     log_D = np.full(n_max + 1, -np.inf)
     log_D[0] = logsumexp(log_c)
     if np.any(nz):
-        log_k = np.log(abs_k[nz])
-        for n in ns[1:]:
-            log_D[n] = logsumexp(n * log_k + log_c[nz])
+        log_D[1:] = logsumexp(ns[1:, None] * np.log(abs_k[nz]) + log_c[nz], axis=1)
 
     finite = np.isfinite(log_D)
     if np.count_nonzero(finite) < 3:

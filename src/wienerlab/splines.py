@@ -6,9 +6,9 @@ inverse of the integer samples phi[.]. Two independent construction
 routes are provided: the space-domain assembly above, and the
 Fourier-domain ratio phihat_int = phihat / sum_n phihat(. - 2 pi n),
 which also covers slowly increasing Green's-function generators. Each
-generator supplies that periodized symbol and its symbol's alias sum on the
-output grid in closed form: by Poisson summation and polygamma values for a
-B-spline, by Hurwitz zeta values for phihat = |w|^-p.
+generator supplies its symbol's alias sum on the output grid in closed
+form (polygamma values for a B-spline, Hurwitz zeta values for |w|^-p);
+summed over its cosets mod 2 pi, it is the periodized denominator.
 
 B-spline values are exact: at a float or grid point j/M, n! (2M)^n B_n
 is an integer sum of truncated powers, divided once with correct rounding.
@@ -119,14 +119,13 @@ def bspline_samples(degree, d=1):
 
 @dataclass
 class Generator:
-    """Shift-invariant-space generator: its symbol and two closed-form sums of
-    it, times |w0|^p (p the symbol's pole order at 0, w0 = w mod 2 pi)."""
+    """Shift-invariant-space generator: its symbol and a closed-form alias sum
+    of it, times |w0|^p (p the symbol's pole order at 0, w0 = w mod 2 pi)."""
 
     kind: str
     params: dict
     symbol_eval: object  # omega -> phihat(omega), vectorized
     aliased: object  # (w, Mf) -> |w0|^p sum_m phihat(w + 2 pi Mf m); Mf even, |w| <= pi Mf
-    periodized: object  # w0 -> |w0|^p sum_n phihat(w0 + 2 pi n) on [-pi, pi]
 
 
 def bspline_generator(degree):
@@ -147,14 +146,7 @@ def bspline_generator(degree):
         shells = ((-1) ** p * polygamma(p - 1, 1.0 + y) + polygamma(p - 1, 1.0 - y)) / math.factorial(p - 1)
         return symbol(omega) + (np.sin(omega / 2.0) / (np.pi * Mf)) ** p * shells
 
-    def periodized(omega0):
-        # Poisson summation: sum_n phihat(w + 2 pi n) = sum_k phi(k) e^{-ikw},
-        # a cosine sum because phi is even
-        omega0 = np.asarray(omega0, dtype=float)
-        samples = bspline_samples(n)
-        return sum(c * np.cos(k * omega0) for k, c in zip(samples.indices().ravel(), samples.coeffs))
-
-    return Generator("bspline", {"degree": n}, symbol, aliased, periodized)
+    return Generator("bspline", {"degree": n}, symbol, aliased)
 
 
 def green_power_generator(order=4):
@@ -170,27 +162,30 @@ def green_power_generator(order=4):
 
     def aliased(omega, Mf):
         # |w0|^p sum_m |w + 2 pi Mf m|^-p = (|w0| / |w|)^p + (|w0| / 2 pi Mf)^p
-        # [zeta(p, 1 + |y|) + zeta(p, 1 - |y|)], y = w / 2 pi Mf, for any Mf (so
-        # Mf = 1 is the periodized symbol); the m = 0 term is 1 at w = 0
+        # [zeta(p, 1 + |y|) + zeta(p, 1 - |y|)], y = w / 2 pi Mf, for any Mf;
+        # the m = 0 term is 1 at w = 0
         omega = np.abs(np.asarray(omega, dtype=float))
         omega0 = np.abs(omega - 2.0 * np.pi * np.round(omega / (2.0 * np.pi)))
         y = omega / (2.0 * np.pi * Mf)
         central = np.divide(omega0, omega, out=np.ones_like(omega), where=omega > 0) ** p
         return central + (omega0 / (2.0 * np.pi * Mf)) ** p * (zeta(p, 1.0 + y) + zeta(p, 1.0 - y))
 
-    return Generator("green_power", {"order": p}, symbol, aliased, lambda omega0: aliased(omega0, 1))
+    return Generator("green_power", {"order": p}, symbol, aliased)
 
 
 def generator_from_json(obj):
     """Generator JSON: {"kind": "bspline"|"green_power", "params": {...}}."""
     if isinstance(obj, str):
         obj = json.loads(obj)
-    kind = obj.get("kind")
-    params = obj.get("params", {})
-    if kind == "bspline":
-        return bspline_generator(int(params["degree"]))
-    if kind == "green_power":
-        return green_power_generator(int(params.get("order", 4)))
+    try:
+        kind = obj.get("kind")
+        params = obj.get("params", {})
+        if kind == "bspline":
+            return bspline_generator(int(params["degree"]))
+        if kind == "green_power":
+            return green_power_generator(int(params.get("order", 4)))
+    except (KeyError, TypeError, AttributeError, OverflowError) as exc:
+        raise ValueError(f"malformed Generator JSON: {exc}") from exc
     raise ValueError(f"unknown generator kind {kind!r}")
 
 
@@ -231,8 +226,6 @@ def _inverse_filter_for(phi_samples):
     """Inverse of the generator's integer samples, cut to the window past
     which its taps fall below TAIL_TOL: the exact 1-D inverse, with the
     radius read off its decay rate."""
-    if phi_samples.coeffs.size == 1:
-        return Filter((0,), 1.0 / phi_samples.coeffs)
     exact = invert_exact_1d(phi_samples)
     scale = max(abs(exact.evaluate([0])[0]), 1.0)
     radius = int(np.ceil(np.log(scale / TAIL_TOL) / exact.decay_rate)) + 4
@@ -269,17 +262,18 @@ def lagrange_kernel_fourier(gen, grid_step=1.0 / 16, K=20):
     """Fourier-domain Lagrange kernel via symbol periodization.
 
     phihat_int = phihat / sum_n phihat(. - 2 pi n), pole-free (times |w0|^p)
-    for Green's functions. The denominator is 2 pi-periodic, so the samples
-    at step 1/Mf are the inverse DFT of the numerator's closed-form alias
-    sum over it, exact up to aliasing in x at distance N / Mf.
+    for Green's functions. The samples at step 1/Mf are the inverse DFT of
+    a / den, a the numerator's closed-form alias sum and den the periodized
+    denominator, a summed over its Mf cosets mod 2 pi; exact up to aliasing
+    in x at distance N / Mf. Each coset of a / den sums to 1: phi_int(k) = delta[k].
     """
     M = _grid_points(grid_step)
     Mf = M if M % 2 == 0 else 2 * M  # the alias sums need an even Mf
-    N = 2 * Mf * max(4 * K, 64)
+    N = 2 * Mf * max(4 * K, 64)  # a shift by 2 pi is N / Mf grid points, an integer
     _check_kernel_size(K, N)
-    omega = 2.0 * np.pi * Mf * np.fft.fftfreq(N)
-    omega0 = omega - 2.0 * np.pi * np.round(omega / (2.0 * np.pi))
-    space = np.fft.ifft(gen.aliased(omega, Mf) / gen.periodized(omega0)).real * Mf
+    aliased = gen.aliased(2.0 * np.pi * Mf * np.fft.fftfreq(N), Mf)
+    periodized = np.tile(aliased.reshape(Mf, -1).sum(axis=0), Mf)
+    space = np.fft.ifft(aliased / periodized).real * Mf
     return _kernel(M, K, space[np.arange(-K * M, K * M + 1) * (Mf // M) % N])
 
 

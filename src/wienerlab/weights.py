@@ -213,12 +213,12 @@ def weight_from_json(obj):
         kind = obj["kind"]
         params = obj.get("params", {})
         dim = int(obj.get("dim", 1))
-    except (KeyError, TypeError) as exc:
+        if kind == "polynomial":
+            return polynomial_weight(float(params["n"]), dim)
+        if kind == "exponential":
+            return exponential_weight(float(params["r"]), dim)
+        if kind == "subexponential":
+            return subexponential_weight(float(params["r"]), float(params["b"]), dim)
+    except (KeyError, TypeError, AttributeError, OverflowError) as exc:
         raise ValueError(f"malformed Weight JSON: {exc}") from exc
-    if kind == "polynomial":
-        return polynomial_weight(float(params["n"]), dim)
-    if kind == "exponential":
-        return exponential_weight(float(params["r"]), dim)
-    if kind == "subexponential":
-        return subexponential_weight(float(params["r"]), float(params["b"]), dim)
     raise ValueError(f"unknown weight kind {kind!r}")

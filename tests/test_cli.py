@@ -224,6 +224,21 @@ class TestSplineLagrange:
                      id="singular-negative-radius-stable-part"),
         pytest.param(["invert-singular", "--filter", DIFFERENCE, "--radius", "-2"], "window_radius must be >= 0",
                      id="singular-negative-radius"),
+        pytest.param(["spline-lagrange", "--generator", '{"kind":"bspline"}', "--out", "k.csv"],
+                     "malformed Generator JSON", id="generator-missing-degree"),
+        pytest.param(["spline-lagrange", "--generator", "[1]", "--out", "k.csv"], "malformed Generator JSON",
+                     id="generator-not-an-object"),
+        pytest.param(["spline-lagrange", "--generator", '{"kind":"green_power","params":{"order":null}}',
+                      "--out", "k.csv"], "malformed Generator JSON", id="generator-null-order"),
+        pytest.param(["grs-check", "--weight", '{"kind":"polynomial"}'], "malformed Weight JSON",
+                     id="weight-missing-n"),
+        # JSON reads 1e999 as inf, which int() cannot take
+        pytest.param(["spline-lagrange", "--generator", '{"kind":"green_power","params":{"order":1e999}}',
+                      "--out", "k.csv"], "malformed Generator JSON", id="generator-infinite-order"),
+        pytest.param(["grs-check", "--weight", '{"kind":"polynomial","dim":1e999,"params":{"n":1}}'],
+                     "malformed Weight JSON", id="weight-infinite-dim"),
+        pytest.param(["symbol-min", "--filter", '{"dim":1e999,"origin":[0],"shape":[1],"coeffs":[1]}'],
+                     "malformed Filter JSON", id="filter-infinite-dim"),
     ],
 )
 def test_bad_input_exits_1_with_one_line(argv, names, tmp_path, capsys, monkeypatch):

@@ -210,19 +210,32 @@ def shell_sum(term, c, m, w=W0):
     return total, 2.0 * c * (SHELLS - 0.5) ** (1 - m) / (m - 1)
 
 
+def coset_sum(gen, w0, Mf):
+    """|w0|^p sum_n phihat(w0 + 2 pi n) as lagrange_kernel_fourier forms it:
+    sum_{r < Mf} aliased(w0 + 2 pi r, Mf), each frequency wrapped into
+    [-pi Mf, pi Mf]."""
+    w = w0[:, None] + 2 * np.pi * np.arange(Mf)
+    return gen.aliased(w - 2 * np.pi * Mf * np.round(w / (2 * np.pi * Mf)), Mf).sum(axis=1)
+
+
+COSET_MFS = [2, 4, 16]
+
+
 class TestPeriodizedSymbol:
     @pytest.mark.parametrize("degree", [0, 1])
     def test_delta_samples_give_one(self, degree):
         # the integer samples of degrees 0 and 1 are delta
-        np.testing.assert_array_equal(bspline_generator(degree).periodized(W0), 1.0)
+        for Mf in COSET_MFS:
+            np.testing.assert_allclose(coset_sum(bspline_generator(degree), W0, Mf), 1.0, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("degree", range(1, 12))
     def test_bspline_matches_shell_sum(self, degree):
         # |sinc((w0 + 2 pi n) / 2 pi)|^m <= (pi (|n| - 1/2))^-m, m = degree + 1
         m = degree + 1
         want, tail = shell_sum(lambda w, n: np.sinc(w / (2 * np.pi) + n) ** m, np.pi**-m, m)
-        got = bspline_generator(degree).periodized(W0)
-        np.testing.assert_allclose(got, want, rtol=0, atol=tail + 1e-13)
+        for Mf in COSET_MFS:
+            got = coset_sum(bspline_generator(degree), W0, Mf)
+            np.testing.assert_allclose(got, want, rtol=0, atol=tail + 1e-13)
 
     @pytest.mark.parametrize("p", [2, 4, 6, 8])
     def test_green_power_matches_shell_sum(self, p):
@@ -234,8 +247,9 @@ class TestPeriodizedSymbol:
             return np.where(n == 0, 1.0, t)
 
         want, tail = shell_sum(term, 2.0**-p, p)
-        got = green_power_generator(p).periodized(W0)
-        np.testing.assert_allclose(got, want, rtol=0, atol=tail + 1e-13)
+        for Mf in COSET_MFS:
+            got = coset_sum(green_power_generator(p), W0, Mf)
+            np.testing.assert_allclose(got, want, rtol=0, atol=tail + 1e-13)
 
     def test_green_power_2_csc_identity(self):
         # sum_n (x + n)^-2 = pi^2 / sin^2(pi x): the p = 2 shell sum above
@@ -243,8 +257,9 @@ class TestPeriodizedSymbol:
         w = W0[W0 != 0]
         want = (w / 2) ** 2 / np.sin(w / 2) ** 2
         gen = green_power_generator(2)
-        np.testing.assert_allclose(gen.periodized(w), want, rtol=1e-14)
-        assert gen.periodized(np.array([0.0]))[0] == 1.0
+        for Mf in COSET_MFS:
+            np.testing.assert_allclose(coset_sum(gen, w, Mf), want, rtol=1e-14)
+            assert coset_sum(gen, np.array([0.0]), Mf)[0] == 1.0
 
 
 def omegas(Mf):
@@ -382,9 +397,14 @@ class TestLagrangeKernelFourier:
         assert kf.decay == loop_envelope_fit(kf)
 
     def test_interpolating_at_integers(self):
-        kf = lagrange_kernel_fourier(green_power_generator(4), K=20)
+        # each coset of the ratio sums to 1, so delta holds to roundoff;
+        # an odd M (steps 1/3 and 1/5) goes through Mf = 2M
+        gens = [bspline_generator(n) for n in range(12)] + [green_power_generator(p) for p in (2, 4, 6, 8)]
         want = (np.arange(-20, 21) == 0).astype(float)
-        np.testing.assert_allclose(kf.integer_samples, want, atol=1e-12)
+        for gen in gens:
+            for step in (1 / 16, 1 / 3, 1 / 5):
+                kf = lagrange_kernel_fourier(gen, grid_step=step, K=20)
+                np.testing.assert_allclose(kf.integer_samples, want, rtol=0, atol=1e-15, err_msg=f"{gen.params} {step}")
 
     def test_green_power_2_is_the_hat(self):
         # D^2's Green kernel interpolant is the degree-1 B-spline

@@ -262,10 +262,9 @@ def lagrange_kernel_fourier(gen, grid_step=1.0 / 16, K=20):
     """Fourier-domain Lagrange kernel via symbol periodization.
 
     phihat_int = phihat / sum_n phihat(. - 2 pi n), pole-free (times |w0|^p)
-    for Green's functions. The samples at step 1/Mf are the inverse DFT of
-    a / den, a the numerator's closed-form alias sum and den the periodized
-    denominator, a summed over its Mf cosets mod 2 pi; exact up to aliasing
-    in x at distance N / Mf. Each coset of a / den sums to 1: phi_int(k) = delta[k].
+    for Green's functions. The samples at step 1/Mf are the inverse DFT of a / d,
+    a the numerator's closed-form alias sum and d = a summed over its Mf cosets
+    mod 2 pi: exact up to aliasing in x at distance N / Mf, delta at the integers.
     """
     M = _grid_points(grid_step)
     Mf = M if M % 2 == 0 else 2 * M  # the alias sums need an even Mf

@@ -62,11 +62,7 @@ MIN_OUTER_BINS = 3  # decay_fit_samples needs this many envelope bins in _outer_
 
 def residual_sup(h, g, radius):
     """sup over the box of radius `radius` of |(h*g - delta)[k]|."""
-    return _residual_on(h, g, Box((-radius,) * h.dim, (2 * radius + 1,) * h.dim))
-
-
-def _residual_on(h, g, box):
-    """sup over `box` of |(h*g - delta)[k]|."""
+    box = Box((-radius,) * h.dim, (2 * radius + 1,) * h.dim)
     return float(np.max(np.abs(convolve(h, g).on_box(box) - kronecker(h.dim).on_box(box))))
 
 
@@ -188,8 +184,8 @@ def invert_stable(h, tail_tol=1e-10, window_radius=40, certificate=None):
     window of radius window_radius is then cut from g' and must meet
     sup |(h*g - delta)[k]| <= tail_tol over the verification box; a grid
     at roundoff that misses it, or the grid cap, raises
-    ToleranceUnreachableError. A first grid of more than GRID_POINT_CAP
-    points raises ValueError.
+    ToleranceUnreachableError. A first grid of more than FFT_GRID_CAP
+    points per axis or GRID_POINT_CAP in all raises ValueError.
     """
     W = _certified_window(h, window_radius, certificate)
     d = h.dim
@@ -197,11 +193,13 @@ def invert_stable(h, tail_tol=1e-10, window_radius=40, certificate=None):
     widths = [n - 1 for n in h.coeffs.shape]
     centre = [o + (w + 1) // 2 for o, w in zip(h.origin, widths)]
     h_norm = float(np.sum(np.abs(h.coeffs)))
-    ks = np.arange(-W, W + 1)
-    fft, ifft = (np.fft.fftn, np.fft.ifftn) if h.is_complex else (np.fft.rfftn, np.fft.irfftn)
     N = FFT_GRID_START
     while N < 2 * W + 2:
         N *= 2
+    if N > FFT_GRID_CAP:
+        raise ValueError(f"window_radius {W} needs an FFT grid of {N} > {FFT_GRID_CAP} points per axis")
+    ks = np.arange(-W, W + 1)
+    fft, ifft = (np.fft.fftn, np.fft.ifftn) if h.is_complex else (np.fft.rfftn, np.fft.irfftn)
     best_rho, best_bound, best_resid = np.inf, np.inf, np.inf
     while True:
         ghat = fft(h.on_torus(N))
@@ -447,10 +445,8 @@ def invert_singular_1d(h, window_radius, residual_tol=1e-9):
     vals = _laurent_inverse(h0, inner + unit, outer).evaluate(window.indices().ravel())
     g = Filter(window.origin, vals)
 
-    if w_neg > 0:
-        resid = residual_sup(h0, g, max(min(w_neg, W) - deg, 0))
-    else:  # one-sided window: verify its causal interior [0, W - deg]
-        resid = _residual_on(h0, g, Box((0,), (W - deg + 1,)))
+    # w_neg is 0 or >= W, and left of a one-sided window h0*g and delta are both 0
+    resid = residual_sup(h0, g, max(W - deg, 0))
     if resid > residual_tol:
         raise ToleranceUnreachableError(
             f"singular-inverse residual {resid:.3e} > {residual_tol:.1e}",

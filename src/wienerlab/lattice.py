@@ -305,13 +305,20 @@ def filter_to_json(a):
     }
 
 
+def json_int(x):
+    """A JSON integer (2 or 2.0) as an int; TypeError (malformed JSON) otherwise."""
+    if isinstance(x, bool) or not (isinstance(x, int) or isinstance(x, float) and x.is_integer()):
+        raise TypeError(f"expected an integer, got {x!r}")
+    return int(x)
+
+
 def filter_from_json(obj):
     if isinstance(obj, str):
         obj = json.loads(obj)
     try:
-        dim = int(obj["dim"])
-        origin = [int(x) for x in obj["origin"]]
-        shape = [int(x) for x in obj["shape"]]
+        dim = json_int(obj["dim"])
+        origin = [json_int(x) for x in obj["origin"]]
+        shape = [json_int(x) for x in obj["shape"]]
         coeffs = np.asarray(obj["coeffs"], dtype=float)
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed Filter JSON: {exc}") from exc

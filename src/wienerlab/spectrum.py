@@ -224,31 +224,33 @@ def derivative_growth(h, n_max):
 def lemma_bound_check(c, n_max):
     """Numerical check of the factorial bound sum_{k>=0} k^n e^{-ck} <= M n!/R^n.
 
-    R is picked inside the constraint from the inductive proof of the
-    bound: R < 1 and (e^{-c}/(1-e^{-c})) e < 1/R. M is the smallest
-    constant making the bound hold for all sampled n, so the reported
-    max ratio is exactly 1 and the content of the check is that M stays
-    finite and stable as n_max grows.
+    The sums are exact, in logs: S_0 = 1/(1-q) and, for n >= 1, Euler's
+    S_n = sum_m A(n, m) q^{m+1} / (1-q)^{n+1} with q = e^{-c} and A the
+    Eulerian numbers, all terms positive; ValueError when some S_n is
+    beyond the float range. R is picked inside the constraint from the
+    inductive proof of the bound: R < 1 and (e^{-c}/(1-e^{-c})) e < 1/R.
+    M is the smallest constant making the bound hold for all sampled n,
+    so the reported max ratio is exactly 1 and the content of the check
+    is that M stays finite and stable as n_max grows.
     """
-    if c <= 0:
-        raise ValueError("c must be > 0")
-    if n_max > 60:
-        raise ValueError("n_max must be <= 60")
+    if not 0 < c < np.inf:
+        raise ValueError(f"c must be finite and > 0, got {c}")
+    if not 0 <= n_max <= 60:
+        raise ValueError(f"n_max must be in [0, 60], got {n_max}")
     ns = np.arange(n_max + 1)
-    log_S = np.empty(n_max + 1)
-    for n in ns:
-        # summand peaks at k ~ n/c; beyond 4n/c + margin the terms decay
-        # at least geometrically, so the tail is < 1e-12 of the sum
-        K = int(max(4 * n / c, 80 / c, 64)) + 1
-        ks = np.arange(1, K + 1, dtype=float)
-        terms = n * np.log(ks) - c * ks
-        if n == 0:
-            terms = np.concatenate([[0.0], terms])  # k = 0 contributes 1
-        log_S[n] = logsumexp(terms)
-        tail_log = terms[-1] - np.log1p(-np.exp(-c / 2))
-        assert tail_log < log_S[n] + np.log(1e-12), "tail not negligible"
+    # A[n, m] = (m + 1) A[n-1, m] + (n - m) A[n-1, m-1], from A[n, 0] = 1
+    A = np.zeros((n_max + 1, n_max + 1))
+    A[:, 0] = 1.0
+    for n in range(2, n_max + 1):
+        A[n, 1:] = (ns[1:] + 1) * A[n - 1, 1:] + (n - ns[1:]) * A[n - 1, :-1]
+    # log(1 - q), each form where it keeps full relative accuracy (Maechler's log1mexp)
+    log_1mq = np.log(-np.expm1(-c)) if c < np.log(2) else np.log1p(-np.exp(-c))
+    log_S = logsumexp(-c * (ns + 1.0), b=A, axis=1) - (ns + 1) * log_1mq
+    log_S[0] = -log_1mq
+    if log_S.max() > np.log(np.finfo(float).max):
+        raise ValueError(f"S_n = sum k^n e^(-ck) exceeds the float range for c = {c}, n <= {n_max}")
     q = np.exp(-c)
-    R_cap = min(1.0, (1 - q) / (np.e * q))
+    R_cap = min(1.0, (1 - q) / (np.e * q)) if q > 0 else 1.0
     R = 0.99 * R_cap
     log_ratio_vs_factorial = log_S + ns * np.log(R) - gammaln(ns + 1.0)
     log_M = float(np.max(log_ratio_vs_factorial))

@@ -30,7 +30,7 @@ from .errors import TailBoundError
 from .inversion import decay_fit_samples, invert_exact_1d
 # re-exported only for the install check at bench/test_bench.py:132, which ROADMAP item 0 moves
 from .inversion import invert_stable  # noqa: F401
-from .lattice import GRID_POINT_CAP, Box, Filter, convolve
+from .lattice import GRID_POINT_CAP, Filter, convolve, json_int
 
 __all__ = [
     "bspline_value",
@@ -49,7 +49,7 @@ __all__ = [
 ]
 
 MAX_BSPLINE_DEGREE = 11
-TAIL_TOL = 1e-12  # inverse-filter taps below this are dropped from kernels and interpolants
+TAIL_TOL = 1e-12  # interpolate cuts the inverse filter where its taps fall below this
 AMALGAM_OFFSETS = np.arange(0.0, 1.0, 1.0 / 16)  # the x0 over which amalgam_norm takes its sup
 
 
@@ -181,9 +181,9 @@ def generator_from_json(obj):
         kind = obj.get("kind")
         params = obj.get("params", {})
         if kind == "bspline":
-            return bspline_generator(int(params["degree"]))
+            return bspline_generator(json_int(params["degree"]))
         if kind == "green_power":
-            return green_power_generator(int(params.get("order", 4)))
+            return green_power_generator(json_int(params.get("order", 4)))
     except (KeyError, TypeError, AttributeError, OverflowError) as exc:
         raise ValueError(f"malformed Generator JSON: {exc}") from exc
     raise ValueError(f"unknown generator kind {kind!r}")
@@ -222,16 +222,6 @@ class LagrangeKernel:
         return out
 
 
-def _inverse_filter_for(phi_samples):
-    """Inverse of the generator's integer samples, cut to the window past
-    which its taps fall below TAIL_TOL: the exact 1-D inverse, with the
-    radius read off its decay rate."""
-    exact = invert_exact_1d(phi_samples)
-    scale = max(abs(exact.evaluate([0])[0]), 1.0)
-    radius = int(np.ceil(np.log(scale / TAIL_TOL) / exact.decay_rate)) + 4
-    return exact.to_filter(radius)
-
-
 def _kernel(M, K, samples):
     """LagrangeKernel of the samples at j/M, |j| <= K M."""
     positions = np.arange(-K * M, K * M + 1) / M
@@ -240,22 +230,23 @@ def _kernel(M, K, samples):
 
 
 def lagrange_kernel_space(gen, grid_step=1.0 / 16, K=20):
-    """Space-domain Lagrange kernel: phi_int = sum_k h[k] phi(. - k), at
-    j/M the convolution of the M-upsampled taps h with phi's grid."""
+    """Space-domain Lagrange kernel: phi_int = sum_k h[k] phi(. - k), at j/M
+    the convolution of the M-upsampled taps h with phi's grid. phi vanishes
+    beyond (n + 1)/2, so |x| <= K takes exactly the taps |k| <= K + (n + 1)//2."""
     if gen.kind != "bspline":
         raise ValueError("space route needs a B-spline generator")
     degree = gen.params["degree"]
     M = _grid_points(grid_step)
-    h = _inverse_filter_for(bspline_samples(degree))
-    h = Filter(h.origin, np.where(np.abs(h.coeffs) >= TAIL_TOL, h.coeffs, 0.0))
-    width = (h.coeffs.size - 1) * M + 1
+    r = K + (degree + 1) // 2
+    width = 2 * r * M + 1
     # phi's grid has (degree + 1) M + 3 points
-    _check_kernel_size(K, max(width + (degree + 1) * M + 2, 2 * K * M + 1))
-    phi_xs, phi_vals = bspline_grid(degree, grid_step)
+    _check_kernel_size(K, width + (degree + 1) * M + 2)
     upsampled = np.zeros(width)
-    upsampled[::M] = h.coeffs
-    phi_int = Filter((h.origin[0] * M + round(phi_xs[0] * M),), np.convolve(upsampled, phi_vals))
-    return _kernel(M, K, phi_int.on_box(Box((-K * M,), (2 * K * M + 1,))))
+    upsampled[::M] = invert_exact_1d(bspline_samples(degree)).evaluate(np.arange(-r, r + 1))
+    # both factors are centred on x = 0, so the middle sample is phi_int(0)
+    phi_int = np.convolve(upsampled, bspline_grid(degree, grid_step)[1])
+    mid = len(phi_int) // 2
+    return _kernel(M, K, phi_int[mid - K * M : mid + K * M + 1])
 
 
 def lagrange_kernel_fourier(gen, grid_step=1.0 / 16, K=20):
@@ -286,7 +277,10 @@ def interpolate(data, gen):
     """
     if gen.kind != "bspline":
         raise ValueError("interpolate needs a B-spline generator")
-    h = _inverse_filter_for(bspline_samples(gen.params["degree"]))
+    # c has infinite support: h is cut where its decay rate puts its taps below TAIL_TOL
+    exact = invert_exact_1d(bspline_samples(gen.params["degree"]))
+    scale = max(abs(exact.evaluate([0])[0]), 1.0)
+    h = exact.to_filter(int(np.ceil(np.log(scale / TAIL_TOL) / exact.decay_rate)) + 4)
     c = data
     for axis in range(data.dim):
         origin, shape = [0] * data.dim, [1] * data.dim

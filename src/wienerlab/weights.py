@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import Box
+from .lattice import Box, json_int
 
 __all__ = [
     "Weight",
@@ -212,7 +212,7 @@ def weight_from_json(obj):
     try:
         kind = obj["kind"]
         params = obj.get("params", {})
-        dim = int(obj.get("dim", 1))
+        dim = json_int(obj.get("dim", 1))
         if kind == "polynomial":
             return polynomial_weight(float(params["n"]), dim)
         if kind == "exponential":

@@ -150,6 +150,14 @@ class TestReportsToStdout:
         assert res["S0"] == pytest.approx(np.e / (np.e - 1), abs=1e-12)
         assert res["max_ratio"] <= 1.0 + 1e-12
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_lemma_check_underflowing_q(self, capsys):
+        # e^-800 underflows to 0: R takes its cap 1 without dividing by zero
+        code, out, _ = run(capsys, "lemma-check", "--c", "800")
+        assert code == 0
+        res = json.loads(out)
+        assert (res["S0"], res["R"], res["max_ratio"]) == (1.0, 0.99, 1.0)
+
     def test_decay_fit(self, tmp_path, capsys):
         out = tmp_path / "g.json"
         run(capsys, "invert", "--filter", CUBIC, "--out", str(out))
@@ -239,6 +247,24 @@ class TestSplineLagrange:
                      "malformed Weight JSON", id="weight-infinite-dim"),
         pytest.param(["symbol-min", "--filter", '{"dim":1e999,"origin":[0],"shape":[1],"coeffs":[1]}'],
                      "malformed Filter JSON", id="filter-infinite-dim"),
+        # a JSON integer may be written 3.0, but 2.7 is not one
+        pytest.param(["spline-lagrange", "--generator", '{"kind":"bspline","params":{"degree":2.7}}',
+                      "--out", "k.csv"], "malformed Generator JSON", id="generator-fractional-degree"),
+        pytest.param(["symbol-min", "--filter", '{"dim":1,"origin":[-1.9],"shape":[3],"coeffs":[1,4,1]}'],
+                     "malformed Filter JSON", id="filter-fractional-origin"),
+        pytest.param(["symbol-min", "--filter", '{"dim":1,"origin":[-1],"shape":[2.5],"coeffs":[1,4]}'],
+                     "malformed Filter JSON", id="filter-fractional-shape"),
+        pytest.param(["grs-check", "--weight", '{"kind":"polynomial","dim":1.5,"params":{"n":1}}'],
+                     "malformed Weight JSON", id="weight-fractional-dim"),
+        # a first FFT grid of 2^26 points per axis: refused before any allocation
+        pytest.param(["invert", "--filter", CUBIC, "--radius", "20000000"], "window_radius 20000000",
+                     id="invert-huge-radius"),
+        pytest.param(["lemma-check", "--c", "inf"], "c must be", id="lemma-infinite-c"),
+        pytest.param(["lemma-check", "--c", "nan"], "c must be", id="lemma-nan-c"),
+        # S_40 is about e^771 at c = 1e-7, past the float range
+        pytest.param(["lemma-check", "--c", "1e-7"], "exceeds the float range", id="lemma-overflowing-sums"),
+        pytest.param(["lemma-check", "--c", "1", "--n-max", "-1"], "n_max must be in [0, 60]",
+                     id="lemma-negative-n-max"),
     ],
 )
 def test_bad_input_exits_1_with_one_line(argv, names, tmp_path, capsys, monkeypatch):

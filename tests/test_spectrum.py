@@ -291,6 +291,31 @@ class TestLemmaBound:
         q = np.exp(-2.0)
         assert res["S"][1] == pytest.approx(q / (1 - q) ** 2, rel=1e-12)
 
+    @pytest.mark.parametrize("c", [1e-5, 1e-6])
+    def test_s0_at_small_c(self, c):
+        # the summands peak near k = n/c; the closed form needs no such range
+        res = lemma_bound_check(c, 40)
+        assert res["S"][0] == pytest.approx(1 / -np.expm1(-c), rel=1e-14)
+
+    @pytest.mark.parametrize("c", [0.01, 0.5, 2.0, 30.0])
+    def test_s2_closed_form(self, c):
+        # sum k^2 q^k = q (1 + q) / (1 - q)^3, the Eulerian row 1, 1
+        q = np.exp(-c)
+        res = lemma_bound_check(c, 10)
+        assert res["S"][2] == pytest.approx(q * (1 + q) / (-np.expm1(-c)) ** 3, rel=1e-14)
+
+    @pytest.mark.parametrize("c", [0.05, 0.7, 3.0])
+    def test_matches_direct_sum(self, c):
+        # the summands k^n e^{-ck} peak at k = n/c; past 8 n_max/c + 400/c
+        # the rest is below 1e-40 of each sum
+        from scipy.special import logsumexp
+
+        ns = np.arange(41)
+        ks = np.arange(1, int((8 * 40 + 400) / c))
+        direct = logsumexp(ns[:, None] * np.log(ks) - c * ks, axis=1)
+        direct[0] = np.logaddexp(0.0, direct[0])  # k = 0 adds 0^0 = 1 to S_0
+        np.testing.assert_allclose(lemma_bound_check(c, 40)["log_S"], direct, rtol=0, atol=1e-13)
+
     def test_bad_c(self):
         with pytest.raises(ValueError):
             lemma_bound_check(0.0, 10)

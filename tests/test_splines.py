@@ -18,8 +18,10 @@ from wienerlab import (
     generator_from_json,
     green_power_generator,
     interpolate,
+    invert_exact_1d,
     invert_stable,
     kernel_to_csv,
+    kronecker,
     lagrange_kernel_fourier,
     lagrange_kernel_space,
     polynomial_weight,
@@ -138,21 +140,24 @@ def test_grid_step_without_a_point_per_unit_raises(build, step):
 
 @pytest.mark.parametrize("build", [lagrange_kernel_space, lagrange_kernel_fourier], ids=["space", "fourier"])
 def test_kernel_grid_over_the_cap_raises(build, monkeypatch):
-    # at step 1/16 and K = 20 the space route's convolution has 739 points
-    # and the Fourier route's FFT grid 2560; the cap is checked before
-    # phi's grid is built
+    # at step 1/16 and K = 20 the space route's convolution has 771 points
+    # (705 upsampled taps |k| <= 22 against phi's 67) and the Fourier
+    # route's FFT grid 2560; the cap is checked before any tap or phi's
+    # grid is evaluated
     build(bspline_generator(3), grid_step=1 / 16, K=20)
     monkeypatch.setattr(splines, "GRID_POINT_CAP", 700)
     monkeypatch.setattr(splines, "bspline_grid", None)
+    monkeypatch.setattr(splines, "invert_exact_1d", None)
     with pytest.raises(ValueError, match="exceeds 700 points"):
         build(bspline_generator(3), grid_step=1 / 16, K=20)
 
 
 @pytest.mark.parametrize("degree", range(2, 12))
 def test_inverse_filter_matches_fft_route(degree):
-    # the exact 1-D inverse against invert_stable's FFT inverse on its window
+    # interpolate's inverse filter, read off as its response to delta,
+    # against invert_stable's FFT inverse on its window
     samples = bspline_samples(degree)
-    h = splines._inverse_filter_for(samples)
+    h = interpolate(kronecker(1), bspline_generator(degree))
     radius = -h.origin[0]
     window = Box((-radius,), (2 * radius + 1,))
     assert h.support == window
@@ -161,14 +166,16 @@ def test_inverse_filter_matches_fft_route(degree):
 
 
 def per_tap_kernel(degree, step, K):
-    """The space kernel on |j| <= K M as phi's grid added once per tap."""
+    """The space kernel on |j| <= K M as phi's grid added once per tap, for
+    every exact tap |k| <= K + (degree + 1)//2 that phi reaches |x| <= K from."""
     M = round(1 / step)
-    h = splines._inverse_filter_for(bspline_samples(degree))
-    keep = np.abs(h.coeffs) >= splines.TAIL_TOL
+    r = K + (degree + 1) // 2
+    ks = np.arange(-r, r + 1)
+    h = invert_exact_1d(bspline_samples(degree)).evaluate(ks)
     phi_xs, phi_vals = bspline_grid(degree, step)
-    n_side = (K + h.coeffs.size + degree) * M
+    n_side = (r + degree + 2) * M
     acc = np.zeros(2 * n_side + 1)
-    for k, v in zip(h.indices().ravel()[keep], h.coeffs[keep]):
+    for k, v in zip(ks, h):
         acc[np.rint(phi_xs * M).astype(int) + k * M + n_side] += v * phi_vals
     return acc[n_side - K * M : n_side + K * M + 1]
 
@@ -392,7 +399,7 @@ class TestLagrangeKernelFourier:
         ks = lagrange_kernel_space(bspline_generator(degree), grid_step=step, K=20)
         kf = lagrange_kernel_fourier(bspline_generator(degree), grid_step=step, K=20)
         np.testing.assert_array_equal(ks.positions, kf.positions)
-        assert np.max(np.abs(ks.samples - kf.samples)) <= 1e-12
+        assert np.max(np.abs(ks.samples - kf.samples)) <= 5e-15
         assert ks.decay == loop_envelope_fit(ks)
         assert kf.decay == loop_envelope_fit(kf)
 
@@ -484,6 +491,18 @@ class TestReproduction:
             tol=1e-6,
         )
         assert res["max_residual"] <= 1e-6
+
+    @pytest.mark.parametrize(
+        "p, target",
+        [(lambda k: np.where(k >= 0, k.astype(float) ** 3, 0.0), lambda x: max(x, 0.0) ** 3),
+         (lambda k: np.abs(k.astype(float)) ** 3, lambda x: abs(x) ** 3)],
+        ids=["xplus3", "absx3"],
+    )
+    def test_exact_to_roundoff(self, wide_kernel, p, target):
+        # the kernel holds every tap its window needs, so nothing but
+        # roundoff is left of the identities on |x| <= 5
+        xs = np.arange(-5.0, 5.0 + 1e-9, 1.0 / 16)
+        assert reproduction_check(p, wide_kernel, target, xs, K_sum=40, tol=1e-6)["max_residual"] <= 1e-12
 
     def test_values_match_per_x_sum(self, wide_kernel):
         xs = np.arange(-5.0, 5.0 + 1e-9, 1.0 / 16)

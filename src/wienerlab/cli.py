@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import MathError
 from .inversion import (
+    MIN_FIT_SAMPLES,
     decay_fit,
     invert_singular_1d,
     invert_stable,
@@ -135,11 +136,16 @@ def _cmd_invert(args):
 def _cmd_invert_singular(args):
     h = _load_json(args.filter, filter_from_json)
     seq = invert_singular_1d(h, args.radius, residual_tol=args.tol)
+    try:
+        decay = decay_fit(seq)
+    except ValueError as exc:  # its only failures: too few nonzero samples
+        raise ValueError(f"radius {args.radius} is too small for the report's decay fit, "
+                         f"which needs at least {MIN_FIT_SAMPLES} nonzero samples") from exc
     report = {
         "residual": seq.residual,
         "growth_order": seq.growth_order,
         "bound_constant": seq.bound_constant,
-        "decay": _decay_json(decay_fit(seq)),
+        "decay": _decay_json(decay),
     }
     _write_json(args.out, filter_to_json(seq.to_filter()))
     _write_json(_sidecar_path(args.out), report)

@@ -4,7 +4,7 @@ Three routes with overlapping domains (they cross-check one another):
 
   toeplitz_oracle    windowed least squares by its normal equations, whose
                      matrix is the autocorrelation's Toeplitz matrix: banded,
-                     and factored once by block Cholesky
+                     read block by block, and factored once by block Cholesky
   invert_stable      FFT sampling of 1/hhat with an aliasing bound and a
                      residual contract
   invert_exact_1d    Laurent expansion of 1/hhat by two recurrences, from
@@ -90,28 +90,27 @@ def toeplitz_oracle(h, window_radius):
     """Least-squares inverse of h on the window of radius window_radius.
 
     The equations h*g = delta cover the support of h*g, so the normal matrix is
-    M[i, j] = R[l_i - l_j] for R = h~*h, h~[k] = conj(h[-k]), with h~ on
-    the window as right side; by Parseval ||h*g||_2 >= min |hhat| ||g||_2,
-    so the certificate keeps M positive definite. M is banded, and its
-    block Cholesky factor, computed once, serves the solve and one
-    refinement step, whose residual is h~*(delta - h*g). Convolutions are
-    direct: no FFT and no roots. Raises ValueError before allocating an M
+    M[i, j] = R[l_i - l_j] for R = h~*h, h~[k] = conj(h[-k]), with h~ on the window as
+    right side; by Parseval ||h*g||_2 >= min |hhat| ||g||_2, so the certificate keeps M
+    positive definite. M is banded and never formed: its block Cholesky factor, computed
+    once from blocks read straight from R, serves the solve and one refinement step,
+    whose residual is h~*(delta - h*g). Convolutions are direct: no FFT and no roots.
+    Raises ValueError before allocating a band (3 n^d s entries for blocks of s rows)
     of more than GRID_POINT_CAP entries.
     """
     W = _certified_window(h, window_radius, None)
     d, n = h.dim, 2 * W + 1
-    if n ** (2 * d) > GRID_POINT_CAP:
-        raise ValueError(f"window_radius {W} needs a {n**d}^2 normal matrix, over {GRID_POINT_CAP} entries")
+    # R vanishes beyond lag L_a - 1 on axis a; in row-major order that bounds |i - j|
+    bw = sum(min(L - 1, n - 1) * n ** (d - 1 - a) for a, L in enumerate(h.coeffs.shape))
+    if (band := 3 * n**d * max(bw, BAND_BLOCK_MIN)) > GRID_POINT_CAP:
+        raise ValueError(f"window_radius {W} needs a normal-matrix band of {band} > {GRID_POINT_CAP} entries")
     window = Box((-W,) * d, (n,) * d)
     rows = Box(np.subtract(h.origin, W), np.add(h.coeffs.shape, n - 1))  # the support of h*g
     h_adj = Filter(1 - np.add(h.origin, h.coeffs.shape), np.conj(np.flip(h.coeffs)))
     R = convolve(h_adj, h, method="direct").on_box(Box((-2 * W,) * d, (2 * n - 1,) * d))
-    # windows of the reversed R hold R[l_i - l_j] at (n-1-i, j), per axis
-    M = np.lib.stride_tricks.sliding_window_view(np.flip(R), (n,) * d)
-    M = np.flip(M, axis=tuple(range(d))).reshape(n**d, n**d)
-    # R vanishes beyond lag L_a - 1 on axis a; in row-major order that bounds |i - j|
-    bw = sum(min(L - 1, n - 1) * n ** (d - 1 - a) for a, L in enumerate(h.coeffs.shape))
-    solve_flat = _banded_cholesky(M, bw)
+    # R is row-major, so its flat index is linear in the lag: l_i - l_j sits at at[i] - at[j] + at[-1]
+    at = np.ravel_multi_index(np.indices(window.shape).reshape(d, -1), R.shape)
+    solve_flat = _banded_cholesky(lambda r, c: R.take(np.subtract.outer(at[r], at[c] - at[-1])), n**d, bw)
 
     def solve(rhs):
         return solve_flat(rhs.on_box(window).ravel()).reshape(window.shape)
@@ -127,22 +126,21 @@ def toeplitz_oracle(h, window_radius):
 BAND_BLOCK_MIN = 32
 
 
-def _banded_cholesky(M, bw):
-    """solve(b) for the Hermitian positive definite M, zero where |i - j| > bw.
+def _banded_cholesky(block, n, bw):
+    """solve(b) for the n x n Hermitian positive definite M, zero where |i - j| > bw.
 
-    Blocks of s = max(bw, BAND_BLOCK_MIN) rows make M block tridiagonal,
-    so M = L L^H with L block lower bidiagonal: D_k = chol(M_kk - C_k C_k^H)
-    on the diagonal and C_{k+1} = M_{k+1,k} D_k^{-H} below it. Each D_k is
-    inverted once; solve runs the block forward and back substitutions.
-    """
+    Blocks of s = max(bw, BAND_BLOCK_MIN) rows, read as block(rows, cols) = M[rows, cols],
+    make M block tridiagonal, so M = L L^H with L block lower bidiagonal: D_k = chol(M_kk -
+    C_k C_k^H) on the diagonal and C_{k+1} = M_{k+1,k} D_k^{-H} below it. Each D_k is
+    inverted once; solve runs the block forward and back substitutions."""
     s = max(bw, BAND_BLOCK_MIN)
-    blocks = [slice(a, a + s) for a in range(0, len(M), s)]
+    blocks = [slice(a, a + s) for a in range(0, n, s)]
     D_inv, C = [], [None]  # C[k] is C_k, below D_{k-1}
     for k, b in enumerate(blocks):
-        Mkk = M[b, b] - C[k] @ C[k].conj().T if k else M[b, b]
+        M_col = block(slice(b.start, b.stop + s), b)  # M_kk over M_{k+1,k}
+        Mkk = M_col[:s] - C[k] @ C[k].conj().T if k else M_col[:s]
         D_inv.append(np.linalg.inv(np.linalg.cholesky(Mkk)))
-        if k + 1 < len(blocks):
-            C.append(M[blocks[k + 1], b] @ D_inv[k].conj().T)
+        C.append(M_col[s:] @ D_inv[k].conj().T)  # empty after the last block
 
     def solve(rhs):
         y = [D_inv[0] @ rhs[blocks[0]]]
@@ -419,17 +417,14 @@ def invert_singular_1d(h, window_radius, residual_tol=1e-9):
     cumulative sum. The result is the causal representative of the
     non-unique slow-growth inverse; it satisfies h*g = delta on the window
     interior. The window sits about index 0 for a filter at origin 0 and
-    moves by -origin with the filter.
+    moves by -origin with the filter; one of more than FFT_GRID_CAP points
+    raises ValueError before any coefficient is evaluated.
     """
     W = _window_radius(window_radius)
     inner, unit, outer = _split_roots(h)
     if not unit:
         raise WrongBranchError("symbol has no unit-circle zeros; use invert_exact_1d")
-    # h = delta_{k_min} * h0 with h0 at origin 0: invert h0, move by -k_min
-    k_min = h.origin[0]
-    h0 = Filter((0,), h.coeffs.ravel())
-    deg = h0.coeffs.shape[0] - 1
-
+    deg = h.coeffs.size - 1
     if not (inner or outer) and W < deg:
         raise ValueError(
             f"window_radius {W} is below the filter's degree {deg}: "
@@ -441,12 +436,14 @@ def invert_singular_1d(h, window_radius, residual_tol=1e-9):
     if inner or outer:
         rate = _decay_rate(inner, outer)
         w_neg = min(max(W, int(np.ceil(40.0 / max(rate, 1e-3)))), 20 * W)
-    window = Box((-w_neg,), (W + w_neg + 1,))
-    vals = _laurent_inverse(h0, inner + unit, outer).evaluate(window.indices().ravel())
-    g = Filter(window.origin, vals)
+    if W + w_neg + 1 > FFT_GRID_CAP:
+        raise ValueError(f"window_radius {W} needs a window of {W + w_neg + 1} > {FFT_GRID_CAP} points")
+    # h*g is the same sequence for h at any origin once the window moves by -origin
+    window = Box((-w_neg - h.origin[0],), (W + w_neg + 1,))
+    vals = _laurent_inverse(h, inner + unit, outer).evaluate(window.indices().ravel())
 
-    # w_neg is 0 or >= W, and left of a one-sided window h0*g and delta are both 0
-    resid = residual_sup(h0, g, max(W - deg, 0))
+    # w_neg is 0 or >= W, and left of a one-sided window h*g and delta are both 0
+    resid = residual_sup(h, Filter(window.origin, vals), max(W - deg, 0))
     if resid > residual_tol:
         raise ToleranceUnreachableError(
             f"singular-inverse residual {resid:.3e} > {residual_tol:.1e}",
@@ -455,16 +452,8 @@ def invert_singular_1d(h, window_radius, residual_tol=1e-9):
 
     # snapped members of one multiple root are equal, so counts are multiplicities
     n = max(unit.count(u) for u in unit) - 1
-    moved = Box((window.origin[0] - k_min,), window.shape)
-    growth = (1.0 + np.abs(moved.indices().ravel())) ** n
-    C = float(np.max(np.abs(vals) / growth))
-    return SlowGrowthSeq(
-        window=moved,
-        values=vals,
-        growth_order=n,
-        bound_constant=C,
-        residual=resid,
-    )
+    C = float(np.max(np.abs(vals) / (1.0 + np.abs(window.indices().ravel())) ** n))
+    return SlowGrowthSeq(window=window, values=vals, growth_order=n, bound_constant=C, residual=resid)
 
 
 # -- decay classification -----------------------------------------------------

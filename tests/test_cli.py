@@ -67,6 +67,13 @@ class TestInvert:
         assert diag["error"] == "NotInvertibleError"
         assert diag["certificate"]["status"] == "likely-singular"
 
+    def test_unreachable_tolerance_reports_best_residual(self, tmp_path, capsys):
+        code, _, err = run(capsys, "invert", "--filter", CUBIC, "--tol", "1e-30", "--out", str(tmp_path / "x.json"))
+        assert code == 2 and list(tmp_path.iterdir()) == []
+        diag = json.loads(err)
+        assert diag["error"] == "ToleranceUnreachableError"
+        assert 1e-30 < diag["best_residual"] < 1e-15
+
     def test_schema_failure_exits_1(self, tmp_path, capsys):
         bad = json.dumps({"dim": 1, "origin": [0]})
         code, _, err = run(
@@ -259,6 +266,19 @@ class TestSplineLagrange:
         # a first FFT grid of 2^26 points per axis: refused before any allocation
         pytest.param(["invert", "--filter", CUBIC, "--radius", "20000000"], "window_radius 20000000",
                      id="invert-huge-radius"),
+        # a window of 2 * 10^7 + 1 points: refused before any coefficient is evaluated
+        pytest.param(["invert-singular", "--filter", DIFFERENCE, "--radius", "20000000"], "window_radius 20000000",
+                     id="singular-huge-radius"),
+        # verified inverses, but too short for the report's decay fit
+        pytest.param(["invert-singular", "--filter", STABLE_PART, "--radius", "0"],
+                     "radius 0 is too small for the report's decay fit, which needs at least 16 nonzero samples",
+                     id="singular-radius-0-stable-part"),
+        pytest.param(["invert-singular", "--filter", STABLE_PART, "--radius", "14"],
+                     "radius 14 is too small for the report's decay fit, which needs at least 16 nonzero samples",
+                     id="singular-radius-14-stable-part"),
+        pytest.param(["invert-singular", "--filter", DIFFERENCE, "--radius", "1"],
+                     "radius 1 is too small for the report's decay fit, which needs at least 16 nonzero samples",
+                     id="singular-radius-1"),
         pytest.param(["lemma-check", "--c", "inf"], "c must be", id="lemma-infinite-c"),
         pytest.param(["lemma-check", "--c", "nan"], "c must be", id="lemma-nan-c"),
         # S_40 is about e^771 at c = 1e-7, past the float range

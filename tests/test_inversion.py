@@ -180,6 +180,14 @@ class TestInvertStable:
         with pytest.raises(ValueError, match="window_radius"):
             invert_stable(cubic(), window_radius=-2)
 
+    def test_complex_storage_of_a_real_filter_gives_a_real_inverse(self):
+        # the complex FFT leaves imaginary parts at roundoff, which real_if_close drops
+        h = cubic()
+        g = invert_stable(Filter(h.origin, h.coeffs.astype(complex)))
+        want = invert_stable(h)
+        assert not g.is_complex and g.origin == want.origin
+        assert np.max(np.abs(g.coeffs - want.coeffs)) < 1e-15
+
     def test_tolerance_unreachable(self):
         # a tolerance below the roundoff floor cannot be met at any grid
         # size, so the doubling loop must stop once the aliasing band is
@@ -343,11 +351,25 @@ class TestToeplitzOracle:
         assert np.max(np.abs(go.on_box(inner) - invert_stable(h, 1e-12, 90).on_box(inner))) < 1e-10
 
     def test_normal_matrix_over_the_cap_raises(self, monkeypatch):
-        # radius 15 has a 31^2 = 961-entry normal matrix, radius 16 one of 1089
-        monkeypatch.setattr(inversion, "GRID_POINT_CAP", 1000)
+        # the cubic's band is 2 wide, so blocks have BAND_BLOCK_MIN = 32 rows:
+        # radius 15 holds a band of 3 * 31 * 32 = 2976 entries, radius 16 one of 3168
+        monkeypatch.setattr(inversion, "GRID_POINT_CAP", 3000)
         toeplitz_oracle(cubic(), 15)
+        # the cap fires before the autocorrelation or any block is computed
+        monkeypatch.setattr(inversion, "convolve", None)
+        monkeypatch.setattr(inversion, "_banded_cholesky", None)
         with pytest.raises(ValueError, match="window_radius 16"):
             toeplitz_oracle(cubic(), 16)
+
+    def test_2d_large_window_matches_invert_stable(self):
+        # a dense normal matrix at radius 60 would hold 14641^2 entries (1.7 GB);
+        # the band holds 3 * 14641 * 244
+        rng = np.random.default_rng(2)
+        c = rng.uniform(-0.08, 0.08, (3, 3))
+        c[1, 1] += 1.0
+        h = Filter((-1, -1), c)
+        gap = toeplitz_oracle(h, 60).coeffs - invert_stable(h, 1e-12, 60).coeffs
+        assert np.max(np.abs(gap)) < 1e-10
 
     @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2]))
     @settings(max_examples=10, deadline=None)
@@ -498,6 +520,22 @@ class TestSingular1D:
     def test_stable_filter_raises_wrong_branch(self):
         with pytest.raises(WrongBranchError):
             invert_singular_1d(cubic(), 20)
+
+    def test_residual_over_tol_raises(self):
+        # (1 - z^-1)(1 + 0.3 z^-1 - 0.2 z^-2 + 0.7 z^-3) leaves a roundoff residual
+        h = Filter((0,), np.polymul([1.0, -1.0], [1.0, 0.3, -0.2, 0.7]))
+        resid = invert_singular_1d(h, 16).residual
+        assert 0.0 < resid <= 1e-9
+        with pytest.raises(ToleranceUnreachableError) as exc:
+            invert_singular_1d(h, 16, residual_tol=1e-20)
+        assert exc.value.best_residual == resid
+
+    @pytest.mark.parametrize("coeffs", [[1.0, -1.0], [1.0, -1.5, 0.5]], ids=["diff", "diff-stable"])
+    def test_window_over_the_cap_raises(self, coeffs, monkeypatch):
+        # refused before any coefficient is evaluated
+        monkeypatch.setattr(inversion, "_laurent_inverse", None)
+        with pytest.raises(ValueError, match="window_radius 65536 needs a window of"):
+            invert_singular_1d(Filter((0,), coeffs), inversion.FFT_GRID_CAP)
 
 
 class TestDecayFit:

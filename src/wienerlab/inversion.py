@@ -430,12 +430,9 @@ def invert_singular_1d(h, window_radius, residual_tol=1e-9):
             f"window_radius {W} is below the filter's degree {deg}: "
             "the one-sided inverse would have no index to verify"
         )
-    # the stable part's inverse decays like exp(-rate |k|); reaching 40/rate
-    # to the left drops a tail below double-precision significance
-    w_neg = 0
-    if inner or outer:
-        rate = _decay_rate(inner, outer)
-        w_neg = min(max(W, int(np.ceil(40.0 / max(rate, 1e-3)))), 20 * W)
+    # only outer roots give the inverse a part left of the origin, decaying
+    # like exp(-rate |k|); reaching 40/rate drops a tail below double precision
+    w_neg = min(max(W, int(np.ceil(40.0 / max(_decay_rate([], outer), 1e-3)))), 20 * W) if outer else 0
     if W + w_neg + 1 > FFT_GRID_CAP:
         raise ValueError(f"window_radius {W} needs a window of {W + w_neg + 1} > {FFT_GRID_CAP} points")
     # h*g is the same sequence for h at any origin once the window moves by -origin

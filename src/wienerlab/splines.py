@@ -6,8 +6,8 @@ inverse of the integer samples phi[.]. Two independent construction
 routes are provided: the space-domain assembly above, and the
 Fourier-domain ratio phihat_int = phihat / sum_n phihat(. - 2 pi n),
 which also covers slowly increasing Green's-function generators. Each
-generator supplies its symbol's alias sum on the output grid in closed
-form (polygamma values for a B-spline, Hurwitz zeta values for |w|^-p);
+generator's alias sum on the output grid is closed-form, through one
+trigonometric polynomial for sum_m (y + m)^-p (a derivative of pi cot pi y);
 summed over its cosets mod 2 pi, it is the periodized denominator.
 
 B-spline values are exact: at a float or grid point j/M, n! (2M)^n B_n
@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
-from scipy.special import polygamma, zeta
 
 from .errors import TailBoundError
 from .inversion import decay_fit_samples, invert_exact_1d
@@ -117,6 +116,27 @@ def bspline_samples(degree, d=1):
     return Filter((-k0,) * d, reduce(np.multiply.outer, [line] * d))
 
 
+def _lattice_sum(y, p):
+    """F_p(y) = (sin pi y / pi)^p sum_m (y + m)^-p (the symmetric sum for p = 1).
+
+    sum_m (y + m)^-p = (-1)^(p-1) pi^p P(cot pi y) / (p-1)!, P = P_{p-1} from
+    P_0 = t and P_{k+1} = -(1 + t^2) P_k'. Its coefficients c_j are integers
+    of one sign, nonzero only for j = p mod 2, so F_p = sum_j |c_j| cos^j sin^(p-j)
+    / (p-1)!, summed by Horner in cos^2: no pole at y = 0 and, for |y| <= 1/2,
+    no negative term.
+    """
+    P = [0, 1]  # ascending coefficients of P_0
+    for _ in range(p - 1):
+        dP = [j * c for j, c in enumerate(P)][1:]
+        P = [-(a + b) for a, b in zip(dP + [0, 0], [0, 0] + dP)]
+    cos, sin2 = np.cos(np.pi * y), np.sin(np.pi * y) ** 2
+    total, sin2_power = 0.0, 1.0
+    for c in P[p::-2]:
+        total = total * cos**2 + abs(c) * sin2_power
+        sin2_power = sin2_power * sin2
+    return total * cos ** (p % 2) / math.factorial(p - 1)
+
+
 @dataclass
 class Generator:
     """Shift-invariant-space generator: its symbol and a closed-form alias sum
@@ -138,13 +158,10 @@ def bspline_generator(degree):
         return np.sinc(omega / (2.0 * np.pi)) ** p
 
     def aliased(omega, Mf):
-        # Mf even: sin(w/2 + pi Mf m) = sin(w/2), so the shells m != 0 sum to
-        # (sin(w/2) / pi Mf)^p [zeta(p, 1+y) + (-1)^p zeta(p, 1-y)] with
-        # y = w / 2 pi Mf; in polygamma form the sum stays finite at p = 1
-        omega = np.asarray(omega, dtype=float)
-        y = omega / (2.0 * np.pi * Mf)
-        shells = ((-1) ** p * polygamma(p - 1, 1.0 + y) + polygamma(p - 1, 1.0 - y)) / math.factorial(p - 1)
-        return symbol(omega) + (np.sin(omega / 2.0) / (np.pi * Mf)) ** p * shells
+        # Mf even: sin(w/2 + pi Mf m) = sin(w/2), so with y = w / 2 pi Mf the
+        # sum is (sin(w/2) / pi Mf)^p sum_m (y + m)^-p = (sinc(Mf y) / sinc(y))^p F_p(y)
+        y = np.asarray(omega, dtype=float) / (2.0 * np.pi * Mf)
+        return (np.sinc(Mf * y) / np.sinc(y)) ** p * _lattice_sum(y, p)
 
     return Generator("bspline", {"degree": n}, symbol, aliased)
 
@@ -161,14 +178,13 @@ def green_power_generator(order=4):
             return np.abs(omega) ** (-float(p))
 
     def aliased(omega, Mf):
-        # |w0|^p sum_m |w + 2 pi Mf m|^-p = (|w0| / |w|)^p + (|w0| / 2 pi Mf)^p
-        # [zeta(p, 1 + |y|) + zeta(p, 1 - |y|)], y = w / 2 pi Mf, for any Mf;
-        # the m = 0 term is 1 at w = 0
+        # |w0|^p sum_m |w + 2 pi Mf m|^-p = (r / sinc(y))^p F_p(y) with
+        # y = w / 2 pi Mf and r = |w0| / |w| (1 at w = 0), for any Mf
         omega = np.abs(np.asarray(omega, dtype=float))
         omega0 = np.abs(omega - 2.0 * np.pi * np.round(omega / (2.0 * np.pi)))
+        r = np.divide(omega0, omega, out=np.ones_like(omega), where=omega > 0)
         y = omega / (2.0 * np.pi * Mf)
-        central = np.divide(omega0, omega, out=np.ones_like(omega), where=omega > 0) ** p
-        return central + (omega0 / (2.0 * np.pi * Mf)) ** p * (zeta(p, 1.0 + y) + zeta(p, 1.0 - y))
+        return (r / np.sinc(y)) ** p * _lattice_sum(y, p)
 
     return Generator("green_power", {"order": p}, symbol, aliased)
 

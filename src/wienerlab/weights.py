@@ -148,16 +148,9 @@ def grs_limit(w, k, m_max):
         raise ValueError("direction k must be nonzero")
     if m_max < 16:
         raise ValueError("m_max must be >= 16")
-    ms = []
-    m = 1
-    while m <= m_max:
-        ms.append(m)
-        m *= 2
-    if ms[-1] != m_max:
-        ms.append(int(m_max))
-    ms = np.asarray(ms, dtype=float)
+    ms = np.unique(np.append(2.0 ** np.arange(int(m_max).bit_length()), int(m_max)))
     # log w[mk]^{1/m} = log w[mk] / m, evaluated in the log domain
-    log_vals = np.array([w.log_eval(m_i * k)[0] / m_i for m_i in ms])
+    log_vals = w.log_eval(ms[:, None] * k) / ms
     limit = float(np.exp(np.min(log_vals)))
     samples = [(int(m_i), float(np.exp(lv))) for m_i, lv in zip(ms, log_vals)]
 

@@ -10,8 +10,8 @@ after an intended output change with
 (no names: every case) and name the changed cases in the commit.
 
 Floats are written with 17 significant digits, so the bytes depend on the
-numerical libraries: the file was recorded with numpy 2.4.6 and scipy
-1.17.1 on Python 3.11, the versions the CI workflow pins.
+numerical library: the file was recorded with numpy 2.4.6 on Python 3.11,
+the version the CI workflow pins. The library imports no scipy.
 """
 
 import contextlib

@@ -481,6 +481,16 @@ class TestSingular1D:
             np.abs(seq.values) <= seq.bound_constant * (1 + np.abs(ks)) ** seq.growth_order * (1 + 1e-12)
         )
 
+    @pytest.mark.parametrize(
+        "coeffs, left", [([1.0, -1.5, 0.5], 0), ([1.0, -3.0, 2.0], 58)], ids=["inner-root", "outer-root"]
+    )
+    def test_window_reaches_left_only_for_outer_roots(self, coeffs, left):
+        # the stable root 0.5 gives a causal inverse; 2 (outside) an
+        # anticausal part 2^k, which drops below 2^-52 within 40 / log 2 taps
+        seq = invert_singular_1d(Filter((0,), coeffs), 40)
+        assert seq.window == Box((-left,), (left + 41,))
+        assert seq.residual <= 1e-12
+
     def test_one_sided_window_below_degree_rejected(self):
         # a one-sided inverse is verified on [0, W - degree], empty for W < 2
         h = Filter((0,), np.array([1.0, -2.0, 1.0]))

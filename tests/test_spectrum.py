@@ -259,6 +259,25 @@ class TestDerivativeGrowth:
         with pytest.raises(ValueError):
             derivative_growth(kronecker(2), 10)
 
+    @pytest.mark.parametrize(
+        "h, n_max",
+        [
+            (Filter((-1000,), np.random.default_rng(5).standard_normal(2048)), 60),
+            (Filter((2,), [0.5, 0.0, -2.0, 1e-3]), 40),
+            (Filter((-3,), [0.1, -0.5, 0.0, 4.0, 0.0, 0.5, 0.1]), 40),
+        ],
+        ids=["2048-taps", "zero-tap", "tap-at-0"],
+    )
+    def test_log_moments_match_logsumexp(self, h, n_max):
+        # log sum_k |h[k]| |k|^n, with 0^0 = 1 and log 0 = -inf
+        from scipy.special import logsumexp, xlogy
+
+        ns = np.arange(n_max + 1)[:, None]
+        ks = np.abs(h.indices().ravel())
+        with np.errstate(divide="ignore"):
+            want = logsumexp(xlogy(ns, ks) + np.log(np.abs(h.coeffs.ravel())), axis=1)
+        np.testing.assert_allclose(derivative_growth(h, n_max).log_moments, want, rtol=1e-13, atol=0)
+
 
 class TestLemmaBound:
     def test_s0_closed_form(self):

@@ -277,7 +277,7 @@ def omegas(Mf):
     return np.concatenate([fixed, rng.uniform(-np.pi * Mf, np.pi * Mf, 12)])
 
 
-@pytest.mark.parametrize("Mf", [2, 4, 16])
+@pytest.mark.parametrize("Mf", [2, 4, 8, 16, 64])
 class TestAliasedSymbol:
     @pytest.mark.parametrize("degree", range(1, 12))
     def test_bspline_matches_shell_sum(self, degree, Mf):
@@ -303,6 +303,23 @@ class TestAliasedSymbol:
         want, tail = shell_sum(term, (2.0 * Mf) ** -p, p, w)
         got = green_power_generator(p).aliased(w, Mf)
         np.testing.assert_allclose(got, want, rtol=0, atol=tail + 1e-13)
+
+    def test_matches_polygamma_and_zeta_forms(self, Mf):
+        # the shells m != 0 in polygamma form (finite at p = 1) for B-splines,
+        # in Hurwitz zeta form for |w|^-p, y = w / 2 pi Mf
+        from scipy.special import polygamma, zeta
+
+        w = omegas(Mf)
+        y = w / (2 * np.pi * Mf)
+        for p in range(1, 13):
+            shells = ((-1) ** p * polygamma(p - 1, 1 + y) + polygamma(p - 1, 1 - y)) / math.factorial(p - 1)
+            want = np.sinc(w / (2 * np.pi)) ** p + (np.sin(w / 2) / (np.pi * Mf)) ** p * shells
+            np.testing.assert_allclose(bspline_generator(p - 1).aliased(w, Mf), want, rtol=0, atol=5e-15)
+        w0 = np.abs(w - 2 * np.pi * np.round(w / (2 * np.pi)))
+        central = np.divide(w0, np.abs(w), out=np.ones_like(w), where=w != 0)
+        for p in range(2, 13, 2):
+            want = central**p + (w0 / (2 * np.pi * Mf)) ** p * (zeta(p, 1 + np.abs(y)) + zeta(p, 1 - np.abs(y)))
+            np.testing.assert_allclose(green_power_generator(p).aliased(w, Mf), want, rtol=0, atol=5e-15)
 
     def test_low_degrees_closed_forms(self, Mf):
         # sum_n 1/(y + n) = pi cot(pi y) and sum_n 1/(y + n)^2 = pi^2 / sin^2(pi y)

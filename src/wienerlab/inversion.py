@@ -425,7 +425,7 @@ def invert_singular_1d(h, window_radius, residual_tol=1e-9):
     if not unit:
         raise WrongBranchError("symbol has no unit-circle zeros; use invert_exact_1d")
     deg = h.coeffs.size - 1
-    if not (inner or outer) and W < deg:
+    if not outer and W < deg:
         raise ValueError(
             f"window_radius {W} is below the filter's degree {deg}: "
             "the one-sided inverse would have no index to verify"

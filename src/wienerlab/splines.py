@@ -48,6 +48,9 @@ __all__ = [
 ]
 
 MAX_BSPLINE_DEGREE = 11
+# _lattice_sum's largest integer coefficient, about (p-1)! (4/pi)^p, passes
+# the float range at order 165 and costs O(p^2) integer steps to build
+MAX_GREEN_ORDER = 160
 TAIL_TOL = 1e-12  # interpolate cuts the inverse filter where its taps fall below this
 AMALGAM_OFFSETS = np.arange(0.0, 1.0, 1.0 / 16)  # the x0 over which amalgam_norm takes its sup
 
@@ -169,8 +172,8 @@ def bspline_generator(degree):
 def green_power_generator(order=4):
     """Green's-function generator for L = D^order: phihat = 1/|omega|^order."""
     p = int(order)
-    if p < 2 or p % 2:
-        raise ValueError("order must be an even integer >= 2")
+    if not 2 <= p <= MAX_GREEN_ORDER or p % 2:
+        raise ValueError(f"order must be an even integer in [2, {MAX_GREEN_ORDER}]")
 
     def symbol(omega):
         omega = np.asarray(omega, dtype=float)

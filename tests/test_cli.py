@@ -243,6 +243,10 @@ class TestSplineLagrange:
                      "malformed Generator JSON", id="generator-missing-degree"),
         pytest.param(["spline-lagrange", "--generator", "[1]", "--out", "k.csv"], "malformed Generator JSON",
                      id="generator-not-an-object"),
+        # refused before any alias-sum coefficient is built
+        pytest.param(["spline-lagrange", "--route", "fourier", "--generator",
+                      '{"kind":"green_power","params":{"order":1000000}}', "--out", "k.csv"],
+                     "order must be an even integer in [2, 160]", id="generator-huge-order"),
         pytest.param(["spline-lagrange", "--generator", '{"kind":"green_power","params":{"order":null}}',
                       "--out", "k.csv"], "malformed Generator JSON", id="generator-null-order"),
         pytest.param(["grs-check", "--weight", '{"kind":"polynomial"}'], "malformed Weight JSON",
@@ -270,9 +274,9 @@ class TestSplineLagrange:
         pytest.param(["invert-singular", "--filter", DIFFERENCE, "--radius", "20000000"], "window_radius 20000000",
                      id="singular-huge-radius"),
         # verified inverses, but too short for the report's decay fit
+        # a one-sided inverse is verified on [0, W - degree], empty for W < 2
         pytest.param(["invert-singular", "--filter", STABLE_PART, "--radius", "0"],
-                     "radius 0 is too small for the report's decay fit, which needs at least 16 nonzero samples",
-                     id="singular-radius-0-stable-part"),
+                     "window_radius 0 is below the filter's degree 2", id="singular-radius-0-stable-part"),
         pytest.param(["invert-singular", "--filter", STABLE_PART, "--radius", "14"],
                      "radius 14 is too small for the report's decay fit, which needs at least 16 nonzero samples",
                      id="singular-radius-14-stable-part"),

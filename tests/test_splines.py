@@ -288,7 +288,7 @@ class TestAliasedSymbol:
         got = bspline_generator(degree).aliased(w, Mf)
         np.testing.assert_allclose(got, want, rtol=0, atol=tail + 1e-13)
 
-    @pytest.mark.parametrize("p", [2, 4, 6, 8])
+    @pytest.mark.parametrize("p", [2, 4, 6, 8, splines.MAX_GREEN_ORDER])
     def test_green_power_matches_shell_sum(self, p, Mf):
         # |w0|^p sum_n |w + 2 pi Mf n|^-p, the n = 0 term being (|w0| / |w|)^p
         # (1 at w = 0); the others are at most (2 Mf (|n| - 1/2))^-p
@@ -438,8 +438,9 @@ class TestLagrangeKernelFourier:
         assert kf.decay.model == "compact"
 
     def test_generator_validation(self):
-        with pytest.raises(ValueError):
-            green_power_generator(3)
+        for order in (0, 3, splines.MAX_GREEN_ORDER + 2, 10**6):
+            with pytest.raises(ValueError, match="even integer"):
+                green_power_generator(order)
 
 
 @pytest.mark.parametrize("build", [lagrange_kernel_space, lagrange_kernel_fourier], ids=["space", "fourier"])

@@ -185,6 +185,11 @@ def invert_stable(h, tail_tol=1e-10, window_radius=40, certificate=None):
     ToleranceUnreachableError. A first grid of more than FFT_GRID_CAP
     points per axis or GRID_POINT_CAP in all raises ValueError.
     """
+    return _invert_stable(h, tail_tol, window_radius, certificate)[0]
+
+
+def _invert_stable(h, tail_tol, window_radius, certificate):
+    """invert_stable's inverse g and the residual sup its contract verified."""
     W = _certified_window(h, window_radius, certificate)
     d = h.dim
     verify_radius = max(W - h.support.extent, 0)
@@ -223,7 +228,7 @@ def invert_stable(h, tail_tol=1e-10, window_radius=40, certificate=None):
             gf = Filter((-W,) * d, g).real_if_close()
             resid = residual_sup(h, gf, verify_radius)
             if accept and resid <= tail_tol:
-                return gf
+                return gf, resid
             best_resid = min(best_resid, resid)
             # a grid at roundoff that misses the residual: no larger grid does better
             if at_roundoff or at_cap:

@@ -12,6 +12,10 @@ summed over its cosets mod 2 pi, it is the periodized denominator.
 
 B-spline values are exact: at a float or grid point j/M, n! (2M)^n B_n
 is an integer sum of truncated powers, divided once with correct rounding.
+
+Constants of a degree are built once per process and kept read-only: the
+exact inverse of the integer samples, interpolate's prefilter and, in a
+bounded cache, the B-spline's half grid per grid step (see bspline_grid).
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, lru_cache, reduce
 
 import numpy as np
 
@@ -53,6 +57,9 @@ MAX_BSPLINE_DEGREE = 11
 MAX_GREEN_ORDER = 160
 TAIL_TOL = 1e-12  # interpolate cuts the inverse filter where its taps fall below this
 AMALGAM_OFFSETS = np.arange(0.0, 1.0, 1.0 / 16)  # the x0 over which amalgam_norm takes its sup
+_HALF_GRID_CACHE_SIZE = 64
+_HALF_GRID_CACHE_POINTS = 2**14
+_CSV_BLOCK_ROWS = 2**14  # kernel_to_csv formats this many rows per write, about 1 MB of text
 
 
 def _degree(degree):
@@ -101,13 +108,30 @@ def bspline_value(degree, x):
     return _bspline_at(_degree(degree), *float(x).as_integer_ratio())
 
 
+def _half_grid(n, M):
+    """Read-only B_n(j/M) for 0 <= j <= ceil((n + 1) M / 2) + 1."""
+    half = np.array([_bspline_at(n, j, M) for j in range(((n + 1) * M + 1) // 2 + 2)])
+    half.flags.writeable = False
+    return half
+
+
+_cached_half_grid = lru_cache(maxsize=_HALF_GRID_CACHE_SIZE)(_half_grid)
+
+
 def bspline_grid(degree, grid_step):
-    """(positions, values) of the degree-n B-spline on its support grid."""
+    """(positions, values) of the degree-n B-spline on its support grid.
+
+    The half grid j >= 0 of at most _HALF_GRID_CACHE_POINTS = 2^14 points is
+    kept for the _HALF_GRID_CACHE_SIZE = 64 most recent (degree, M), so the
+    cache holds 8 MiB at most; a larger one is computed on every call. The
+    returned arrays are fresh.
+    """
     n = _degree(degree)
     M = _grid_points(grid_step)
     js = np.arange(-(n + 1) * M // 2 - 1, (n + 1) * M // 2 + 2)  # the support, one point beyond each end
     # B_n is even and each value exact, so the |j| values mirror bit for bit
-    half = np.array([_bspline_at(n, j, M) for j in range(-js[0] + 1)])
+    small = -js[0] + 1 <= _HALF_GRID_CACHE_POINTS
+    half = (_cached_half_grid if small else _half_grid)(n, M)
     return js / M, half[np.abs(js)]
 
 
@@ -117,6 +141,24 @@ def bspline_samples(degree, d=1):
     k0 = n // 2
     line = np.array([_bspline_at(n, k, 1) for k in range(-k0, k0 + 1)])
     return Filter((-k0,) * d, reduce(np.multiply.outer, [line] * d))
+
+
+@cache
+def _bspline_inverse(n):
+    """Exact inverse of the degree-n integer samples, its arrays read-only."""
+    exact = invert_exact_1d(bspline_samples(n))
+    for a in (*exact.causal, *exact.anticausal):
+        a.flags.writeable = False
+    return exact
+
+
+@cache
+def _prefilter(n):
+    """interpolate's 1-D inverse filter of degree n: c has infinite support, so
+    the exact inverse is cut where its decay rate puts its taps below TAIL_TOL."""
+    exact = _bspline_inverse(n)
+    scale = max(abs(exact.evaluate([0])[0]), 1.0)
+    return exact.to_filter(int(np.ceil(np.log(scale / TAIL_TOL) / exact.decay_rate)) + 4)
 
 
 def _lattice_sum(y, p):
@@ -261,7 +303,7 @@ def lagrange_kernel_space(gen, grid_step=1.0 / 16, K=20):
     # phi's grid has (degree + 1) M + 3 points
     _check_kernel_size(K, width + (degree + 1) * M + 2)
     upsampled = np.zeros(width)
-    upsampled[::M] = invert_exact_1d(bspline_samples(degree)).evaluate(np.arange(-r, r + 1))
+    upsampled[::M] = _bspline_inverse(degree).evaluate(np.arange(-r, r + 1))
     # both factors are centred on x = 0, so the middle sample is phi_int(0)
     phi_int = np.convolve(upsampled, bspline_grid(degree, grid_step)[1])
     mid = len(phi_int) // 2
@@ -296,10 +338,7 @@ def interpolate(data, gen):
     """
     if gen.kind != "bspline":
         raise ValueError("interpolate needs a B-spline generator")
-    # c has infinite support: h is cut where its decay rate puts its taps below TAIL_TOL
-    exact = invert_exact_1d(bspline_samples(gen.params["degree"]))
-    scale = max(abs(exact.evaluate([0])[0]), 1.0)
-    h = exact.to_filter(int(np.ceil(np.log(scale / TAIL_TOL) / exact.decay_rate)) + 4)
+    h = _prefilter(gen.params["degree"])
     c = data
     for axis in range(data.dim):
         origin, shape = [0] * data.dim, [1] * data.dim
@@ -366,5 +405,7 @@ def kernel_to_csv(kernel, path):
     with contextlib.nullcontext(sys.stdout) if path == "-" else open(path, "w") as fh:
         fh.write(meta)
         fh.write("x,value\n")
-        for x, v in zip(kernel.positions, kernel.samples):
-            fh.write(f"{x:.17g},{v:.17g}\n")
+        rows = np.column_stack((kernel.positions, kernel.samples))
+        for start in range(0, len(rows), _CSV_BLOCK_ROWS):
+            block = rows[start : start + _CSV_BLOCK_ROWS]
+            fh.write("%.17g,%.17g\n" * len(block) % tuple(block.ravel().tolist()))

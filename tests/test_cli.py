@@ -5,9 +5,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from wienerlab import filter_from_json
-from wienerlab.cli import main
+from wienerlab.cli import _json_text, main
 
 CUBIC = json.dumps(
     {"dim": 1, "origin": [-1], "shape": [3], "coeffs": [1 / 6, 4 / 6, 1 / 6]}
@@ -207,13 +209,43 @@ class TestSplineLagrange:
 
     def test_round_trip_identity(self, tmp_path, capsys):
         # Filter JSON -> load -> save leaves the bytes unchanged
-        from wienerlab.cli import _json_text
         from wienerlab.lattice import filter_to_json
 
         first = tmp_path / "g1.json"
         run(capsys, "invert", "--filter", CUBIC, "--out", str(first))
         loaded = filter_from_json(first.read_text())
         assert _json_text(filter_to_json(loaded)) + "\n" == first.read_text()
+
+
+# the edge cases of 17-digit output: signed zero, the smallest subnormal,
+# exponent notation, integers past 2^53 and values that need all 17 digits
+EDGE_FLOATS = [-0.0, 5e-324, 1e16, 2.0**53 + 2, 0.1 + 0.2, 1 / 3, -2.2250738585072014e-308]
+
+
+class TestJsonText:
+    @given(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS), min_size=1),
+        st.integers(0, 3),
+    )
+    def test_finite_float_lists_keep_the_per_element_layout(self, xs, indent):
+        pad = "  " * indent
+        want = "[\n" + ",\n".join(f"{pad}  {format(x, '.17g')}" for x in xs) + f"\n{pad}]"
+        assert _json_text(xs, indent) == want == _json_text(tuple(xs), indent)
+
+    @pytest.mark.parametrize(
+        "xs, want",
+        [
+            ([1.5, float("inf")], '[\n  1.5,\n  "inf"\n]'),
+            ([float("nan"), -0.0], '[\n  "nan",\n  -0\n]'),
+            ([-float("inf")], '[\n  "-inf"\n]'),
+            ([2.0, 3], "[\n  2,\n  3\n]"),
+            ([np.float64(0.5), 0.25], "[\n  0.5,\n  0.25\n]"),
+            ([0.5, [0.25]], "[\n  0.5,\n  [\n    0.25\n  ]\n]"),
+        ],
+        ids=["inf", "nan", "minus-inf", "int", "numpy-float", "nested"],
+    )
+    def test_other_lists_keep_their_elements_layout(self, xs, want):
+        assert _json_text(xs) == want
 
 
 @pytest.mark.parametrize(

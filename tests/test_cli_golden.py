@@ -24,6 +24,7 @@ from pathlib import Path
 
 import pytest
 
+from wienerlab import cli, splines
 from wienerlab.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
@@ -102,10 +103,20 @@ def test_every_case_recorded(golden):
     assert sorted(golden) == sorted(CASES)
 
 
+def clear_process_caches():
+    cli._build_parser.cache_clear()
+    for cached in (splines._bspline_inverse, splines._prefilter, splines._cached_half_grid):
+        cached.cache_clear()
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_unchanged(name, golden, tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    assert run_case(CASES[name]) == golden[name]
+    # on empty per-process caches, then again on the ones the first run filled
+    clear_process_caches()
+    for run in ("cold", "warm"):
+        (tmp_path / run).mkdir()
+        monkeypatch.chdir(tmp_path / run)
+        assert run_case(CASES[name]) == golden[name], run
 
 
 def _record(names):

@@ -143,13 +143,71 @@ def test_kernel_grid_over_the_cap_raises(build, monkeypatch):
     # at step 1/16 and K = 20 the space route's convolution has 771 points
     # (705 upsampled taps |k| <= 22 against phi's 67) and the Fourier
     # route's FFT grid 2560; the cap is checked before any tap or phi's
-    # grid is evaluated
+    # grid is evaluated. The first call fills the per-process caches, so
+    # the cached helpers are patched as well: a cap checked after a cache
+    # lookup fails here
     build(bspline_generator(3), grid_step=1 / 16, K=20)
     monkeypatch.setattr(splines, "GRID_POINT_CAP", 700)
-    monkeypatch.setattr(splines, "bspline_grid", None)
-    monkeypatch.setattr(splines, "invert_exact_1d", None)
+    for helper in ("bspline_grid", "invert_exact_1d", "_bspline_inverse", "_cached_half_grid", "_half_grid"):
+        monkeypatch.setattr(splines, helper, None)
     with pytest.raises(ValueError, match="exceeds 700 points"):
         build(bspline_generator(3), grid_step=1 / 16, K=20)
+
+
+def clear_spline_caches():
+    for cached in (splines._bspline_inverse, splines._prefilter, splines._cached_half_grid):
+        cached.cache_clear()
+
+
+@pytest.mark.parametrize("degree", range(12))
+def test_cached_constants_give_the_cold_results(degree):
+    # each output computed on empty caches, then again from the cached
+    # inverse, prefilter and half grid
+    gen = bspline_generator(degree)
+    data = Filter((-2,), np.linspace(-1.0, 2.0, 9))
+
+    def outputs(M):
+        kernels = [build(gen, grid_step=1 / M, K=6).samples for build in (lagrange_kernel_space, lagrange_kernel_fourier)]
+        return [*bspline_grid(degree, 1 / M), *kernels, interpolate(data, gen).coeffs]
+
+    for M in (1, 2, 3, 5, 8, 16, 64):
+        clear_spline_caches()
+        cold = outputs(M)
+        assert all(np.array_equal(a, b) for a, b in zip(cold, outputs(M)))
+
+
+def test_cached_arrays_are_read_only():
+    gen = bspline_generator(3)
+    exact = splines._bspline_inverse(3)
+    cached = [splines._cached_half_grid(3, 16), *exact.causal, *exact.anticausal, splines._prefilter(3).coeffs]
+    for a in cached:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1.0
+    # what the public functions return is the caller's own copy
+    x, v = bspline_grid(3, 1 / 16)
+    kernel = lagrange_kernel_space(gen, grid_step=1 / 16, K=20)
+    want = v.copy(), kernel.samples.copy()
+    x[:], v[:], kernel.samples[:] = 0.0, 0.0, 0.0
+    assert np.array_equal(bspline_grid(3, 1 / 16)[1], want[0])
+    assert np.array_equal(lagrange_kernel_space(gen, grid_step=1 / 16, K=20).samples, want[1])
+
+
+def test_half_grid_cache_is_bounded():
+    # worst case retained: 64 half grids of 2^14 float64 values, 8 MiB
+    assert splines._HALF_GRID_CACHE_SIZE * splines._HALF_GRID_CACHE_POINTS * 8 == 8 * 2**20
+    clear_spline_caches()
+    for M in range(1, 101):
+        bspline_grid(2, 1 / M)
+    assert splines._cached_half_grid.cache_info().currsize == splines._HALF_GRID_CACHE_SIZE
+    # the degree-1 half grid at M has M + 2 points: kept up to the limit, not beyond
+    clear_spline_caches()
+    limit = splines._HALF_GRID_CACHE_POINTS
+    bspline_grid(1, 1 / (limit - 2))
+    assert splines._cached_half_grid.cache_info().currsize == 1
+    x, v = bspline_grid(1, 1 / (limit - 1))
+    assert splines._cached_half_grid.cache_info().currsize == 1
+    mid = len(v) // 2
+    assert (x[mid], v[mid]) == (0.0, 1.0) and np.array_equal(v, v[::-1])
 
 
 @pytest.mark.parametrize("degree", range(2, 12))
@@ -590,6 +648,17 @@ class TestFormats:
         xs, vs = np.loadtxt(lines[2:], delimiter=",", unpack=True)
         np.testing.assert_allclose(xs, kernel.positions)
         np.testing.assert_allclose(vs, kernel.samples)
+
+    def test_csv_rows_match_the_per_row_layout(self, tmp_path, monkeypatch):
+        # blocks of 3 rows, so 7 rows cross two block boundaries
+        monkeypatch.setattr(splines, "_CSV_BLOCK_ROWS", 3)
+        kernel = lagrange_kernel_space(bspline_generator(1), grid_step=0.5, K=1)
+        vals = np.array([-0.0, 5e-324, 1e16, 2.0**53 + 2, 0.1 + 0.2, 1 / 3, -1e-300])
+        kernel = splines.LagrangeKernel(0.5, vals[::-1] * 7, vals, vals[::2], 1, kernel.decay)
+        path = tmp_path / "kernel.csv"
+        kernel_to_csv(kernel, path)
+        rows = path.read_text().splitlines(keepends=True)[2:]
+        assert rows == [f"{x:.17g},{v:.17g}\n" for x, v in zip(kernel.positions, kernel.samples)]
 
     def test_generator_json(self):
         g = generator_from_json({"kind": "bspline", "params": {"degree": 3}})

@@ -14,7 +14,6 @@ from .inversion import (
     ExactInverse1D,
     SlowGrowthSeq,
     decay_fit,
-    decay_fit_samples,
     invert_exact_1d,
     invert_singular_1d,
     invert_stable,

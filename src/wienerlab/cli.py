@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from .errors import MathError
-from .inversion import MIN_FIT_SAMPLES, _invert_stable, decay_fit, invert_singular_1d
+from .inversion import _invert_stable, decay_fit, invert_singular_1d
 # re-exported only for the install check at bench/test_bench.py:132, which ROADMAP item 0 moves
 from .inversion import invert_stable  # noqa: F401
 from .lattice import filter_from_json, filter_to_json
@@ -136,16 +136,12 @@ def _cmd_invert(args):
 def _cmd_invert_singular(args):
     h = _load_json(args.filter, filter_from_json)
     seq = invert_singular_1d(h, args.radius, residual_tol=args.tol)
-    try:
-        decay = decay_fit(seq)
-    except ValueError as exc:  # its only failures: too few nonzero samples
-        raise ValueError(f"radius {args.radius} is too small for the report's decay fit, "
-                         f"which needs at least {MIN_FIT_SAMPLES} nonzero samples") from exc
     report = {
         "residual": seq.residual,
         "growth_order": seq.growth_order,
         "bound_constant": seq.bound_constant,
-        "decay": _decay_json(decay),
+        # exact, not fitted: |g[k]| <= C (1 + |k|)^order on the window
+        "decay": {"model": "algebraic", "rate_or_order": seq.growth_order, "C": seq.bound_constant},
     }
     _write_json(args.out, filter_to_json(seq.to_filter()))
     _write_json(_sidecar_path(args.out), report)

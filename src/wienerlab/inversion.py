@@ -37,7 +37,7 @@ from .errors import (
     ToleranceUnreachableError,
     WrongBranchError,
 )
-from .lattice import GRID_POINT_CAP, Box, Filter, convolve, kronecker
+from .lattice import GRID_AXIS_CAP, GRID_POINT_CAP, Box, Filter, convolve, kronecker
 from .spectrum import min_modulus_certified
 
 __all__ = [
@@ -49,15 +49,12 @@ __all__ = [
     "invert_singular_1d",
     "DecayReport",
     "decay_fit",
-    "decay_fit_samples",
     "residual_sup",
 ]
 
 UNIT_CIRCLE_TOL = 1e-8
 FFT_GRID_START = 2  # doubled up to the first grid, N >= 2 W + 2
-FFT_GRID_CAP = 2**16
 MIN_FIT_SAMPLES = 16  # decay_fit needs this many points
-MIN_OUTER_BINS = 3  # decay_fit_samples needs this many envelope bins in _outer_half
 
 
 def residual_sup(h, g, radius):
@@ -182,7 +179,7 @@ def invert_stable(h, tail_tol=1e-10, window_radius=40, certificate=None):
     window of radius window_radius is then cut from g' and must meet
     sup |(h*g - delta)[k]| <= tail_tol over the verification box; a grid
     at roundoff that misses it, or the grid cap, raises
-    ToleranceUnreachableError. A first grid of more than FFT_GRID_CAP
+    ToleranceUnreachableError. A first grid of more than GRID_AXIS_CAP
     points per axis or GRID_POINT_CAP in all raises ValueError.
     """
     return _invert_stable(h, tail_tol, window_radius, certificate)[0]
@@ -199,8 +196,8 @@ def _invert_stable(h, tail_tol, window_radius, certificate):
     N = FFT_GRID_START
     while N < 2 * W + 2:
         N *= 2
-    if N > FFT_GRID_CAP:
-        raise ValueError(f"window_radius {W} needs an FFT grid of {N} > {FFT_GRID_CAP} points per axis")
+    if N > GRID_AXIS_CAP:
+        raise ValueError(f"window_radius {W} needs an FFT grid of {N} > {GRID_AXIS_CAP} points per axis")
     ks = np.arange(-W, W + 1)
     fft, ifft = (np.fft.fftn, np.fft.ifftn) if h.is_complex else (np.fft.rfftn, np.fft.irfftn)
     best_rho, best_bound, best_resid = np.inf, np.inf, np.inf
@@ -219,7 +216,7 @@ def _invert_stable(h, tail_tol, window_radius, certificate):
         best_rho, best_bound = min(best_rho, rho), min(best_bound, bound)
         at_roundoff = float(np.max(band, initial=0.0)) <= floor
         accept = bound <= tail_tol or at_roundoff
-        at_cap = N >= FFT_GRID_CAP or (2 * N) ** d > GRID_POINT_CAP
+        at_cap = N >= GRID_AXIS_CAP or (2 * N) ** d > GRID_POINT_CAP
         if accept or at_cap:
             idx = ks % N
             g = gper[np.ix_(*([idx] * d))]
@@ -422,7 +419,7 @@ def invert_singular_1d(h, window_radius, residual_tol=1e-9):
     cumulative sum. The result is the causal representative of the
     non-unique slow-growth inverse; it satisfies h*g = delta on the window
     interior. The window sits about index 0 for a filter at origin 0 and
-    moves by -origin with the filter; one of more than FFT_GRID_CAP points
+    moves by -origin with the filter; one of more than GRID_AXIS_CAP points
     raises ValueError before any coefficient is evaluated.
     """
     W = _window_radius(window_radius)
@@ -438,8 +435,8 @@ def invert_singular_1d(h, window_radius, residual_tol=1e-9):
     # only outer roots give the inverse a part left of the origin, decaying
     # like exp(-rate |k|); reaching 40/rate drops a tail below double precision
     w_neg = min(max(W, int(np.ceil(40.0 / max(_decay_rate([], outer), 1e-3)))), 20 * W) if outer else 0
-    if W + w_neg + 1 > FFT_GRID_CAP:
-        raise ValueError(f"window_radius {W} needs a window of {W + w_neg + 1} > {FFT_GRID_CAP} points")
+    if W + w_neg + 1 > GRID_AXIS_CAP:
+        raise ValueError(f"window_radius {W} needs a window of {W + w_neg + 1} > {GRID_AXIS_CAP} points")
     # h*g is the same sequence for h at any origin once the window moves by -origin
     window = Box((-w_neg - h.origin[0],), (W + w_neg + 1,))
     vals = _laurent_inverse(h, inner + unit, outer).evaluate(window.indices().ravel())
@@ -463,11 +460,11 @@ def invert_singular_1d(h, window_radius, residual_tol=1e-9):
 
 @dataclass
 class DecayReport:
-    """Fitted decay/growth model of a sequence.
+    """Decay/growth model of a sequence, fitted by decay_fit.
 
     model is "exponential" (|g[k]| ~ C e^{-rate |k|_1}), "algebraic"
     (|g[k]| ~ C (1+||k||)^order), "mixed" (neither fit 2x better in RMS) or
-    "compact" (kernel samples < 1e-12 max at |x| >= 1; rate inf, order -inf).
+    "compact" (rate inf). Kernels report their generator's exact rate instead.
     """
 
     model: str
@@ -501,43 +498,8 @@ def decay_fit(g):
     return _dual_model_fit(dist1[nonzero], dist2[nonzero], vals[nonzero], g.support)
 
 
-def decay_fit_samples(positions, values):
-    """Decay fit for real-line samples (e.g. kernel grids).
-
-    Samples are folded to |x| and reduced to their per-unit-interval
-    envelope max before fitting, which removes the periodic modulation
-    and the zero crossings of oscillating kernels. The fit needs
-    MIN_OUTER_BINS envelope samples in the outer half, the part it fits.
-    """
-    positions = np.abs(np.asarray(positions, dtype=float))
-    values = np.abs(np.asarray(values, dtype=float))
-    n_bins = int(np.floor(np.max(positions)))
-    box = Box((0,), (max(n_bins, 1),))
-    # envelope bins within a factor ~100 of the double-precision floor
-    # (and of typical assembly tail tolerances) carry truncation and
-    # roundoff artifacts, not signal; they would flatten the fit
-    floor = float(np.max(values)) * 1e-12
-    far = positions >= 1
-    if np.any(far) and np.all(values[far] < floor):
-        return DecayReport("compact", np.inf, -np.inf, float(np.max(values)), 0.0, 0.0, box)
-    # envelope of bin j = max over [j, j+1) for j < n_bins; an empty bin
-    # stays 0, below any floor
-    env = np.zeros(n_bins + 1)
-    np.maximum.at(env, np.floor(positions).astype(int), values)
-    keep = np.flatnonzero(env[:n_bins] > floor)
-    centers, env = keep + 0.5, env[keep]
-    if np.count_nonzero(_outer_half(centers)) < MIN_OUTER_BINS:
-        raise ValueError(f"need at least {MIN_OUTER_BINS} envelope samples in the outer half")
-    return _dual_model_fit(centers, centers, env, box)
-
-
-def _outer_half(dist):
-    """Mask of the distances the fits use: at least 1 and half the largest."""
-    return dist >= max(np.max(dist, initial=0.0) / 2.0, 1.0)
-
-
 def _dual_model_fit(dist1, dist2, vals, window):
-    sel = _outer_half(dist1)
+    sel = dist1 >= max(np.max(dist1) / 2.0, 1.0)  # the outer half, at least 1 out
     d1, d2, v = dist1[sel], dist2[sel], vals[sel]
     logv = np.log(v)
 

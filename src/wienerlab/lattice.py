@@ -29,6 +29,8 @@ __all__ = [
 DIRECT_CONVOLUTION_CUTOFF = 4096
 # Total-grid-point ceiling so multidimensional sweeps cannot exhaust memory.
 GRID_POINT_CAP = 2**26
+# Points on one axis of an FFT grid, a certificate sweep or a singular window.
+GRID_AXIS_CAP = 2**16
 
 
 @dataclass(frozen=True)

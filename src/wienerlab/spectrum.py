@@ -18,7 +18,7 @@ from functools import reduce
 
 import numpy as np
 
-from .lattice import GRID_POINT_CAP, Filter
+from .lattice import GRID_AXIS_CAP, GRID_POINT_CAP, Filter
 
 __all__ = [
     "symbol_eval",
@@ -30,7 +30,6 @@ __all__ = [
 ]
 
 GRID_START = 64
-GRID_CAP = 2**16
 # a tensor filter goes axis by axis when its rank-1 remainder is this small
 RANK_ONE_TOL = 1e-12
 
@@ -150,7 +149,7 @@ def min_modulus_certified(h, target_gap=1e-9):
         cert = ModulusCertificate(N, grid_min, bound, argmin, status)
         if status != "inconclusive":
             return cert
-        if N >= GRID_CAP or any((2 * N) ** f.dim > GRID_POINT_CAP for f in factors):
+        if N >= GRID_AXIS_CAP or any((2 * N) ** f.dim > GRID_POINT_CAP for f in factors):
             return cert
         N *= 2
 

@@ -30,10 +30,10 @@ from functools import cache, lru_cache, reduce
 import numpy as np
 
 from .errors import TailBoundError
-from .inversion import decay_fit_samples, invert_exact_1d
+from .inversion import DecayReport, invert_exact_1d
 # re-exported only for the install check at bench/test_bench.py:132, which ROADMAP item 0 moves
 from .inversion import invert_stable  # noqa: F401
-from .lattice import GRID_POINT_CAP, Filter, convolve, json_int
+from .lattice import GRID_POINT_CAP, Box, Filter, convolve, json_int
 
 __all__ = [
     "bspline_value",
@@ -161,6 +161,16 @@ def _prefilter(n):
     return exact.to_filter(int(np.ceil(np.log(scale / TAIL_TOL) / exact.decay_rate)) + 4)
 
 
+@cache
+def _cot_coefficients(p):
+    """Ascending integer coefficients of P_{p-1} (see _lattice_sum)."""
+    P = [0, 1]  # P_0
+    for _ in range(p - 1):
+        dP = [j * c for j, c in enumerate(P)][1:]
+        P = [-(a + b) for a, b in zip(dP + [0, 0], [0, 0] + dP)]
+    return tuple(P)
+
+
 def _lattice_sum(y, p):
     """F_p(y) = (sin pi y / pi)^p sum_m (y + m)^-p (the symmetric sum for p = 1).
 
@@ -170,16 +180,36 @@ def _lattice_sum(y, p):
     / (p-1)!, summed by Horner in cos^2: no pole at y = 0 and, for |y| <= 1/2,
     no negative term.
     """
-    P = [0, 1]  # ascending coefficients of P_0
-    for _ in range(p - 1):
-        dP = [j * c for j, c in enumerate(P)][1:]
-        P = [-(a + b) for a, b in zip(dP + [0, 0], [0, 0] + dP)]
+    P = _cot_coefficients(p)
     cos, sin2 = np.cos(np.pi * y), np.sin(np.pi * y) ** 2
     total, sin2_power = 0.0, 1.0
     for c in P[p::-2]:
         total = total * cos**2 + abs(c) * sin2_power
         sin2_power = sin2_power * sin2
     return total * cos ** (p % 2) / math.factorial(p - 1)
+
+
+@cache
+def _green_decay_rate(p):
+    """Decay rate of green_power(p)'s Lagrange kernel: its transform's nearest
+    poles lie at y = 1/2 +- i a / 2 pi, where P(cot pi y) = 0, cot^2 = -tanh^2(a/2).
+    So a = 2 artanh sqrt(u*), u* the least zero of R(u) = sum_j |c_j| (-u)^(j/2);
+    R has real zeros only, and Newton's method from u = 0 climbs to u* monotonically
+    (u* = 1 at p = 2: the compact hat)."""
+    # sum_j |c_j| < 2e299 at p <= MAX_GREEN_ORDER: R and R' stay in the float range
+    R = np.polynomial.Polynomial([(-1) ** i * float(abs(c)) for i, c in enumerate(_cot_coefficients(p)[::2])])
+    u, dR = 0.0, R.deriv()
+    while (step := -R(u) / dR(u)) > 0 and u + step != u:
+        u += step
+    return math.inf if u >= 1.0 else 2.0 * math.atanh(math.sqrt(u))
+
+
+def _decay_rate(gen):
+    """Exact rate a of |phi_int(x)| <= C e^{-a |x|}, inf for a compact kernel;
+    by Schoenberg's identity green_power(p)'s is the degree p - 1 B-spline's."""
+    if gen.kind == "bspline":
+        return _bspline_inverse(gen.params["degree"]).decay_rate
+    return _green_decay_rate(gen.params["order"])
 
 
 @dataclass
@@ -283,10 +313,17 @@ class LagrangeKernel:
         return out
 
 
-def _kernel(M, K, samples):
-    """LagrangeKernel of the samples at j/M, |j| <= K M."""
+def _kernel(M, K, samples, rate):
+    """LagrangeKernel of the samples at j/M, |j| <= K M, at the exact rate; C is
+    the least over the samples at or above 1e-12 of the largest (below: roundoff)."""
     positions = np.arange(-K * M, K * M + 1) / M
-    decay = decay_fit_samples(positions, samples)
+    size = np.abs(samples)
+    kept = size >= np.max(size) * 1e-12
+    if rate == math.inf:
+        model, C = "compact", np.max(size)
+    else:
+        model, C = "exponential", np.max(size[kept] * np.exp(rate * np.abs(positions[kept])))
+    decay = DecayReport(model, rate, -np.inf, float(C), 0.0, 0.0, Box((0,), (max(K, 1),)))
     return LagrangeKernel(1.0 / M, positions, samples, samples[::M], K, decay)
 
 
@@ -307,7 +344,7 @@ def lagrange_kernel_space(gen, grid_step=1.0 / 16, K=20):
     # both factors are centred on x = 0, so the middle sample is phi_int(0)
     phi_int = np.convolve(upsampled, bspline_grid(degree, grid_step)[1])
     mid = len(phi_int) // 2
-    return _kernel(M, K, phi_int[mid - K * M : mid + K * M + 1])
+    return _kernel(M, K, phi_int[mid - K * M : mid + K * M + 1], _decay_rate(gen))
 
 
 def lagrange_kernel_fourier(gen, grid_step=1.0 / 16, K=20):
@@ -317,15 +354,19 @@ def lagrange_kernel_fourier(gen, grid_step=1.0 / 16, K=20):
     for Green's functions. The samples at step 1/Mf are the inverse DFT of a / d,
     a the numerator's closed-form alias sum and d = a summed over its Mf cosets
     mod 2 pi: exact up to aliasing in x at distance N / Mf, delta at the integers.
+    That distance is at least 40 / rate, so the aliases fall below roundoff.
     """
     M = _grid_points(grid_step)
     Mf = M if M % 2 == 0 else 2 * M  # the alias sums need an even Mf
     N = 2 * Mf * max(4 * K, 64)  # a shift by 2 pi is N / Mf grid points, an integer
+    _check_kernel_size(K, N)  # before the rate's constants are built, and again on its grid
+    rate = _decay_rate(gen)
+    N = max(N, 2 * Mf * math.ceil(20 / rate))
     _check_kernel_size(K, N)
     aliased = gen.aliased(2.0 * np.pi * Mf * np.fft.fftfreq(N), Mf)
     periodized = np.tile(aliased.reshape(Mf, -1).sum(axis=0), Mf)
     space = np.fft.ifft(aliased / periodized).real * Mf
-    return _kernel(M, K, space[np.arange(-K * M, K * M + 1) * (Mf // M) % N])
+    return _kernel(M, K, space[np.arange(-K * M, K * M + 1) * (Mf // M) % N], rate)
 
 
 def interpolate(data, gen):
@@ -351,9 +392,9 @@ def reproduction_check(p, kernel, target, xs, K_sum, tol=1e-9):
     """Max residual of sum_{|k| <= K_sum} p[k] phi_int(x - k) against target.
 
     p: callable k -> value (vectorized over an int array). A tail
-    estimate from the kernel's decay report is computed first; if it
-    exceeds tol the sum cannot certify the identity and an error is
-    raised.
+    estimate from the kernel's decay report, |phi_int(x)| <= C e^{-a |x|},
+    is computed first; if it exceeds tol the sum cannot certify the
+    identity and an error is raised.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     ks = np.arange(-K_sum, K_sum + 1)

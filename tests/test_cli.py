@@ -124,6 +124,24 @@ class TestInvertSingular:
         report = json.loads((tmp_path / "step.report.json").read_text())
         assert report["growth_order"] == 0
 
+    @pytest.mark.parametrize(
+        "filt, radius, values",
+        [
+            # 1 / ((1 - z)(1 - z/2)) = sum_k (2 - 2^-k) z^k
+            pytest.param(STABLE_PART, 14, [2.0 - 2.0**-k for k in range(15)], id="singular-radius-14-stable-part"),
+            pytest.param(DIFFERENCE, 1, [1.0, 1.0], id="singular-radius-1"),
+        ],
+    )
+    def test_short_window_reports_its_exact_growth(self, filt, radius, values, tmp_path, capsys):
+        # the report's decay is the growth bound, not a fit, so a few samples suffice
+        out = tmp_path / "s.json"
+        code, _, _ = run(capsys, "invert-singular", "--filter", filt, "--radius", str(radius), "--out", str(out))
+        assert code == 0
+        np.testing.assert_allclose(filter_from_json(out.read_text()).coeffs, values, rtol=0, atol=1e-12)
+        report = json.loads((tmp_path / "s.report.json").read_text())
+        assert report["growth_order"] == 0
+        assert report["decay"] == {"model": "algebraic", "rate_or_order": 0, "C": report["bound_constant"]}
+
     def test_window_below_degree_exits_1(self, tmp_path, capsys):
         diff2 = json.dumps({"dim": 1, "origin": [0], "shape": [3], "coeffs": [1.0, -2.0, 1.0]})
         code, _, err = run(
@@ -305,16 +323,9 @@ class TestJsonText:
         # a window of 2 * 10^7 + 1 points: refused before any coefficient is evaluated
         pytest.param(["invert-singular", "--filter", DIFFERENCE, "--radius", "20000000"], "window_radius 20000000",
                      id="singular-huge-radius"),
-        # verified inverses, but too short for the report's decay fit
         # a one-sided inverse is verified on [0, W - degree], empty for W < 2
         pytest.param(["invert-singular", "--filter", STABLE_PART, "--radius", "0"],
                      "window_radius 0 is below the filter's degree 2", id="singular-radius-0-stable-part"),
-        pytest.param(["invert-singular", "--filter", STABLE_PART, "--radius", "14"],
-                     "radius 14 is too small for the report's decay fit, which needs at least 16 nonzero samples",
-                     id="singular-radius-14-stable-part"),
-        pytest.param(["invert-singular", "--filter", DIFFERENCE, "--radius", "1"],
-                     "radius 1 is too small for the report's decay fit, which needs at least 16 nonzero samples",
-                     id="singular-radius-1"),
         pytest.param(["lemma-check", "--c", "inf"], "c must be", id="lemma-infinite-c"),
         pytest.param(["lemma-check", "--c", "nan"], "c must be", id="lemma-nan-c"),
         # S_40 is about e^771 at c = 1e-7, past the float range

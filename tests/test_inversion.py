@@ -16,7 +16,6 @@ from wienerlab import (
     bspline_samples,
     convolve,
     decay_fit,
-    decay_fit_samples,
     invert_exact_1d,
     invert_singular_1d,
     invert_stable,
@@ -545,7 +544,7 @@ class TestSingular1D:
         # refused before any coefficient is evaluated
         monkeypatch.setattr(inversion, "_laurent_inverse", None)
         with pytest.raises(ValueError, match="window_radius 65536 needs a window of"):
-            invert_singular_1d(Filter((0,), coeffs), inversion.FFT_GRID_CAP)
+            invert_singular_1d(Filter((0,), coeffs), inversion.GRID_AXIS_CAP)
 
 
 class TestDecayFit:
@@ -570,13 +569,3 @@ class TestDecayFit:
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
             decay_fit(Filter((0,), np.array([1.0])))
-
-    def test_samples_need_three_envelope_bins_in_the_outer_half(self):
-        # the fit uses the bins with centre >= max(largest centre / 2, 1)
-        xs = np.arange(-5, 5.001, 0.25)
-        rep = decay_fit_samples(xs, np.exp(-np.abs(xs)))  # outer centres 2.5, 3.5, 4.5
-        assert rep.model == "exponential"
-        assert rep.rate == pytest.approx(1.0, abs=1e-12)
-        near = np.abs(xs) <= 2
-        with pytest.raises(ValueError, match="at least 3 envelope samples"):
-            decay_fit_samples(xs[near], np.exp(-np.abs(xs[near])))  # only 1.5 is outer

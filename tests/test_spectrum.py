@@ -152,7 +152,7 @@ def random_filter(seed):
     of its dominant tap sets how many doublings the certificate takes.
     A quarter of the 1-D filters have a unit zero instead: at w = 0 or pi
     (real, likely-singular on the first grid) or off the grid (complex,
-    inconclusive at GRID_CAP). Dense 2-D sweeps stay at N <= 1024."""
+    inconclusive at GRID_AXIS_CAP). Dense 2-D sweeps stay at N <= 1024."""
     rng = np.random.default_rng(seed)
     d = int(rng.integers(1, 3))
     shape = tuple(int(n) for n in rng.integers(1, 5, size=d))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from wienerlab import (
     Box,
+    DecayReport,
     Filter,
     TailBoundError,
     amalgam_norm,
@@ -27,7 +28,7 @@ from wienerlab import (
     polynomial_weight,
     reproduction_check,
 )
-from wienerlab import inversion, splines
+from wienerlab import splines
 from wienerlab.splines import bspline_grid
 
 RATE = np.log(2 + np.sqrt(3))
@@ -155,7 +156,7 @@ def test_kernel_grid_over_the_cap_raises(build, monkeypatch):
 
 
 def clear_spline_caches():
-    for cached in (splines._bspline_inverse, splines._prefilter, splines._cached_half_grid):
+    for cached in (splines._bspline_inverse, splines._prefilter, splines._cached_half_grid, splines._cot_coefficients):
         cached.cache_clear()
 
 
@@ -392,20 +393,6 @@ class TestAliasedSymbol:
         assert bspline_generator(0).aliased(0.0, Mf) == 1.0
 
 
-def loop_envelope_fit(k):
-    """decay_fit_samples' report from an envelope taken bin by bin, one mask
-    per unit interval; max is exact, so it must equal k.decay bit for bit."""
-    positions, values = np.abs(k.positions), np.abs(k.samples)
-    floor = np.max(values) * 1e-12
-    centers, env = [], []
-    for j in range(int(np.floor(np.max(positions)))):
-        sel = (positions >= j) & (positions < j + 1)
-        if np.any(sel) and np.max(values[sel]) > floor:
-            centers.append(j + 0.5)
-            env.append(np.max(values[sel]))
-    return inversion._dual_model_fit(np.array(centers), np.array(centers), np.array(env), k.decay.window_used)
-
-
 @pytest.fixture(scope="module")
 def kernel():
     return lagrange_kernel_space(bspline_generator(3), grid_step=1.0 / 16, K=20)
@@ -423,15 +410,15 @@ class TestLagrangeKernelSpace:
 
     def test_decay_rate(self, kernel):
         assert kernel.decay.model == "exponential"
-        assert kernel.decay.rate == pytest.approx(RATE, abs=1e-3)
-        assert kernel.decay == loop_envelope_fit(kernel)
+        assert kernel.decay.rate == pytest.approx(RATE, rel=1e-15)
 
     @pytest.mark.parametrize("build", [lagrange_kernel_space, lagrange_kernel_fourier], ids=["space", "fourier"])
     @pytest.mark.parametrize("K", [6, 10, 15])
     def test_short_kernel_decay_is_fitted(self, build, K):
+        # the rate is the generator's, however few samples the kernel has
         k = build(bspline_generator(3), grid_step=1.0 / 16, K=K)
         assert k.decay.model == "exponential"
-        assert k.decay.rate == pytest.approx(RATE, abs=1e-3)
+        assert k.decay.rate == splines._bspline_inverse(3).decay_rate
 
     def test_evaluate_on_and_off_grid(self, kernel):
         on = kernel.evaluate([0.0625])[0]
@@ -475,8 +462,7 @@ class TestLagrangeKernelFourier:
         kf = lagrange_kernel_fourier(bspline_generator(degree), grid_step=step, K=20)
         np.testing.assert_array_equal(ks.positions, kf.positions)
         assert np.max(np.abs(ks.samples - kf.samples)) <= 5e-15
-        assert ks.decay == loop_envelope_fit(ks)
-        assert kf.decay == loop_envelope_fit(kf)
+        assert ks.decay.rate == kf.decay.rate == splines._bspline_inverse(degree).decay_rate
 
     def test_interpolating_at_integers(self):
         # each coset of the ratio sums to 1, so delta holds to roundoff;
@@ -509,7 +495,86 @@ def test_box_and_hat_are_compact(build, step):
     for degree, want in ((0, box), (1, hat)):
         k = build(bspline_generator(degree), grid_step=step, K=6)
         assert np.max(np.abs(k.samples - want(k.positions))) <= 1e-15
-        assert (k.decay.model, k.decay.rate, k.decay.order) == ("compact", np.inf, -np.inf)
+        assert k.decay == DecayReport("compact", np.inf, -np.inf, np.max(k.samples), 0.0, 0.0, Box((0,), (6,)))
+
+
+def kernel_cases():
+    """(build, generator) for B-spline degrees 2-11 by both routes and
+    green_power orders 4-40."""
+    bsplines = [(build, bspline_generator(n)) for n in range(2, 12) for build in (lagrange_kernel_space, lagrange_kernel_fourier)]
+    greens = [(lagrange_kernel_fourier, green_power_generator(p)) for p in range(4, 41, 2)]
+    ids = [f"{b.__name__.split('_')[-1]}-degree{g.params['degree']}" for b, g in bsplines]
+    ids += [f"green{g.params['order']}" for _, g in greens]
+    return pytest.mark.parametrize("build, gen", bsplines + greens, ids=ids)
+
+
+def above_floor(k):
+    size = np.abs(k.samples)
+    keep = size >= np.max(size) * 1e-12
+    return np.abs(k.positions[keep]), size[keep]
+
+
+class TestKernelDecay:
+    @pytest.mark.parametrize("p", range(4, 13, 2))
+    def test_green_rate_is_the_bspline_rate(self, p):
+        # Schoenberg: green_power(p) and the degree p - 1 B-spline share their
+        # Lagrange kernel; the rates come from the alias sum and from the roots
+        assert abs(splines._green_decay_rate(p) - splines._bspline_inverse(p - 1).decay_rate) <= 1e-14
+
+    @pytest.mark.parametrize("p", [4, 12, 40, 80, 160])
+    def test_green_rate_brackets_a_zero(self, p):
+        # R(u) = sum_j |c_j| (-u)^(j/2), in exact rationals, changes sign
+        # within 1e-12 of u = tanh^2(a / 2)
+        coeffs = [abs(c) * (-1) ** i for i, c in enumerate(splines._cot_coefficients(p)[::2])]
+        u = Fraction(math.tanh(splines._green_decay_rate(p) / 2) ** 2)
+
+        def R(v):
+            return sum(c * v**i for i, c in enumerate(coeffs))
+
+        assert R(u * (1 - Fraction(1, 10**12))) > 0 > R(u * (1 + Fraction(1, 10**12)))
+
+    def test_hat_kernels_are_compact(self):
+        assert splines._green_decay_rate(2) == splines._bspline_inverse(1).decay_rate == math.inf
+
+    @kernel_cases()
+    def test_samples_decay_at_the_rate(self, build, gen):
+        # envelope maxima over unit intervals, halfway out and at the last
+        # one where the samples exceed 1e-10 of their largest
+        k = build(gen, grid_step=1 / 16, K=40)
+        x, size = np.abs(k.positions), np.abs(k.samples)
+        env = np.zeros(41)
+        np.maximum.at(env, np.floor(x).astype(int), size)
+        far = int(np.flatnonzero(env[:40] > 1e-10 * np.max(size))[-1])
+        near = far // 2
+        assert near >= 6
+        assert abs(np.log(env[near] / env[far]) / (far - near) - k.decay.rate) <= 1e-3
+
+    @kernel_cases()
+    @pytest.mark.parametrize("step, K", [(1 / 8, 20), (1 / 16, 30), (1 / 32, 20), (1 / 64, 40)])
+    def test_samples_lie_under_the_envelope(self, build, gen, step, K):
+        k = build(gen, grid_step=step, K=K)
+        assert k.decay.model == "exponential" and k.decay.rate == splines._decay_rate(gen)
+        x, size = above_floor(k)
+        scaled = size * np.exp(k.decay.rate * x)
+        assert np.all(scaled <= k.decay.fit_constant)
+        assert x[np.argmax(scaled)] < 1.0
+
+    @pytest.mark.parametrize("build", [lagrange_kernel_space, lagrange_kernel_fourier], ids=["space", "fourier"])
+    @pytest.mark.parametrize("degree", [3, 7, 11])
+    def test_one_ulp_moves_the_constant_by_a_few_ulps(self, build, degree):
+        k = build(bspline_generator(degree), grid_step=1 / 16, K=20)
+        rng = np.random.default_rng(degree)
+        moved = np.where(rng.integers(2, size=k.samples.size) == 1, np.nextafter(k.samples, np.inf), k.samples)
+        C = splines._kernel(16, 20, moved, k.decay.rate).decay.fit_constant
+        assert abs(C - k.decay.fit_constant) <= 4 * np.spacing(k.decay.fit_constant)
+
+    @pytest.mark.parametrize("p", [80, 160])
+    def test_fourier_grid_grows_with_the_decay_length(self, p):
+        # the FFT grid's aliases sit at least 40 / rate away, whatever K
+        short = lagrange_kernel_fourier(green_power_generator(p), grid_step=1 / 16, K=20)
+        wide = lagrange_kernel_fourier(green_power_generator(p), grid_step=1 / 16, K=200)
+        mid = len(wide.samples) // 2
+        np.testing.assert_allclose(short.samples, wide.samples[mid - 320 : mid + 321], rtol=0, atol=1e-13)
 
 
 class TestInterpolate:

@@ -463,8 +463,8 @@ class DecayReport:
     """Decay/growth model of a sequence, fitted by decay_fit.
 
     model is "exponential" (|g[k]| ~ C e^{-rate |k|_1}), "algebraic"
-    (|g[k]| ~ C (1+||k||)^order), "mixed" (neither fit 2x better in RMS) or
-    "compact" (rate inf). Kernels report their generator's exact rate instead.
+    (|g[k]| ~ C (1+||k||)^order) or "mixed" (neither fit 2x better in RMS).
+    Kernels report their generator's exact rate, or "compact" (rate inf).
     """
 
     model: str

@@ -318,10 +318,10 @@ def _kernel(M, K, samples, rate):
     the least over the samples at or above 1e-12 of the largest (below: roundoff)."""
     positions = np.arange(-K * M, K * M + 1) / M
     size = np.abs(samples)
-    kept = size >= np.max(size) * 1e-12
     if rate == math.inf:
         model, C = "compact", np.max(size)
     else:
+        kept = size >= np.max(size) * 1e-12
         model, C = "exponential", np.max(size[kept] * np.exp(rate * np.abs(positions[kept])))
     decay = DecayReport(model, rate, -np.inf, float(C), 0.0, 0.0, Box((0,), (max(K, 1),)))
     return LagrangeKernel(1.0 / M, positions, samples, samples[::M], K, decay)

@@ -278,7 +278,7 @@ def _build_parser():
     p = sub.add_parser("grs-check", help="GRS limit along a lattice direction")
     p.add_argument("--weight", required=True, help="Weight JSON (inline or path)")
     p.add_argument("--k", default="1", help="direction, comma-separated ints")
-    p.add_argument("--m-max", type=int, default=2**20)
+    p.add_argument("--m-max", type=int, default=2**20, help="largest sampled m; sets only the samples reported")
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_grs_check)
 

@@ -6,10 +6,10 @@ Built-in families:
     subexponential(r, b): w[k] = e^{r |k|_1^b},  0 <= b < 1
 
 All evaluation happens in the log domain so that w[m k] stays finite for
-m up to 2^20. The GRS limit lim_m w[mk]^{1/m} is estimated from samples
-at geometrically spaced m; by Fekete subadditivity of m -> log w[mk] the
-true limit is the infimum over m, so the running minimum only improves
-as m_max grows.
+m up to 2^20. Each built-in family carries its GRS limit lim_m w[mk]^{1/m}
+in closed form: e^{r |k|_1} for the exponential family, 1 for the others.
+A custom weight has only samples; by Fekete subadditivity of m -> log w[mk]
+the limit is their infimum over all m, so a sample bounds it from above.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ __all__ = [
     "weight_from_json",
 ]
 
-# Verdict threshold for the finite-sample GRS diagnostic. The limit is
-# asymptotic, so this is a declared tolerance, not a proof.
+# A custom weight's sampled upper bound, or a finite family's infimum,
+# within this of 1 counts as GRS; built-in weights need no tolerance
 GRS_TOL = 0.05
 
 
@@ -48,6 +48,11 @@ class Weight:
     kind: str
     params: dict = field(default_factory=dict)
     _log_eval: object = None
+    _log_limit: object = None  # k -> log lim_m w[mk]^{1/m}; None for custom weights
+
+    def __post_init__(self):
+        if not self.dim >= 1:
+            raise ValueError(f"weight dim must be >= 1, got {self.dim}")
 
     def log_eval(self, ks):
         """log w[k] for an (m, dim) array (or a single multi-index)."""
@@ -62,37 +67,37 @@ class Weight:
 
 def polynomial_weight(n, dim=1):
     """w[k] = (1 + ||k||_2)^n; GRS for every n >= 0."""
-    if n < 0:
-        raise ValueError("polynomial order must be >= 0")
+    if not 0 <= n < np.inf:
+        raise ValueError(f"polynomial order must be finite and >= 0, got {n}")
 
     def lg(ks):
         return n * np.log1p(np.linalg.norm(ks, axis=-1))
 
-    return Weight(dim, "polynomial", {"n": n}, lg)
+    return Weight(dim, "polynomial", {"n": n}, lg, lambda k: 0.0)
 
 
 def exponential_weight(r, dim=1):
     """w[k] = e^{r |k|_1}; submultiplicative but never GRS for r > 0."""
-    if r < 0:
-        raise ValueError("exponential rate must be >= 0")
+    if not 0 <= r < np.inf:
+        raise ValueError(f"exponential rate must be finite and >= 0, got {r}")
 
     def lg(ks):
         return r * np.sum(np.abs(ks), axis=-1)
 
-    return Weight(dim, "exponential", {"r": r}, lg)
+    return Weight(dim, "exponential", {"r": r}, lg, lambda k: float(lg(k)))
 
 
 def subexponential_weight(r, b, dim=1):
     """w[k] = e^{r |k|_1^b} with 0 <= b < 1; GRS despite superpolynomial growth."""
     if not 0 <= b < 1:
-        raise ValueError("subexponential exponent must satisfy 0 <= b < 1")
-    if r < 0:
-        raise ValueError("subexponential rate must be >= 0")
+        raise ValueError(f"subexponential exponent must satisfy 0 <= b < 1, got {b}")
+    if not 0 <= r < np.inf:
+        raise ValueError(f"subexponential rate must be finite and >= 0, got {r}")
 
     def lg(ks):
         return r * np.sum(np.abs(ks), axis=-1) ** b
 
-    return Weight(dim, "subexponential", {"r": r, "b": b}, lg)
+    return Weight(dim, "subexponential", {"r": r, "b": b}, lg, lambda k: 0.0)
 
 
 def custom_weight(log_eval, dim=1, params=None):
@@ -102,19 +107,19 @@ def custom_weight(log_eval, dim=1, params=None):
 
 @dataclass(frozen=True)
 class GrsEstimate:
-    """Finite-sample estimate of lim_m w[mk]^{1/m} along one direction."""
+    """lim_m w[mk]^{1/m} along one direction, with samples at m <= m_max."""
 
     direction: tuple
     samples: list  # (m, w[mk]^{1/m}) at geometrically spaced m
-    extrapolated_limit: float
-    verdict: str  # "grs" | "not_grs" | "inconclusive"
+    extrapolated_limit: float  # exact if built in; if custom, the least sample (an upper bound)
+    verdict: str  # "grs" | "not_grs" (built-in weights only) | "inconclusive" (custom only)
 
 
 def submultiplicative_check(w, box):
     """All pairs (k, l) in box x box violating w[k+l] <= w[k] w[l].
 
     An empty list certifies submultiplicativity on the box (up to a 1e-12
-    relative slack for rounding).
+    relative slack for rounding); a non-finite log w raises ValueError.
     """
     if not isinstance(box, Box):
         raise TypeError("box must be a Box")
@@ -126,6 +131,8 @@ def submultiplicative_check(w, box):
     for i in range(len(ks)):
         sums = ks[i] + ks
         lw_sum = w.log_eval(sums)
+        if not (np.all(np.isfinite(lw)) and np.all(np.isfinite(lw_sum))):
+            raise ValueError("invalid weight: non-finite log value on the box or its sums")
         bad = np.nonzero(lw_sum > lw[i] + lw + slack)[0]
         for j in bad:
             violations.append((tuple(ks[i]), tuple(ks[j])))
@@ -133,15 +140,13 @@ def submultiplicative_check(w, box):
 
 
 def grs_limit(w, k, m_max):
-    """Estimate lim_m w[mk]^{1/m} from samples at m = 1, 2, 4, ..., m_max.
+    """lim_m w[mk]^{1/m}, with samples at m = 1, 2, 4, ..., m_max.
 
-    The caller certifies that w is submultiplicative; then log w[mk] is
-    subadditive in m and the limit equals inf_m w[mk]^{1/m}, so the
-    extrapolated limit is the minimum over samples. Verdicts:
-      grs           extrapolated limit <= 1 + GRS_TOL
-      not_grs       per-m values have flattened at a level > 1 + GRS_TOL
-                    across the last three doublings (e^{rm}-type growth)
-      inconclusive  otherwise
+    A built-in weight gives its closed-form limit: grs if it is exactly 1,
+    else not_grs, whatever m_max. For a custom weight, which the caller
+    certifies submultiplicative, the limit is inf_m w[mk]^{1/m} (Fekete), so
+    the least sample bounds it from above: grs if that bound is <= 1 +
+    GRS_TOL, else inconclusive, never not_grs.
     """
     k = np.atleast_1d(np.asarray(k, dtype=int))
     if not np.any(k):
@@ -151,42 +156,34 @@ def grs_limit(w, k, m_max):
     ms = np.unique(np.append(2.0 ** np.arange(int(m_max).bit_length()), int(m_max)))
     # log w[mk]^{1/m} = log w[mk] / m, evaluated in the log domain
     log_vals = w.log_eval(ms[:, None] * k) / ms
-    limit = float(np.exp(np.min(log_vals)))
     samples = [(int(m_i), float(np.exp(lv))) for m_i, lv in zip(ms, log_vals)]
-
-    if limit <= 1.0 + GRS_TOL:
-        verdict = "grs"
+    if w._log_limit is None:
+        limit = float(np.exp(np.min(log_vals)))
+        verdict = "grs" if limit <= 1.0 + GRS_TOL else "inconclusive"
     else:
-        # Trend test on the last three doublings: if log w[mk]/m has
-        # stopped decreasing (stays bounded away from 0), the weight grows
-        # at least exponentially along k.
-        tail = log_vals[-3:]
-        floor = np.log1p(GRS_TOL)
-        flattened = np.all(tail > floor) and (tail[0] - tail[-1]) <= 0.25 * tail[0]
-        verdict = "not_grs" if flattened else "inconclusive"
+        log_limit = w._log_limit(k)
+        limit = float(np.exp(log_limit))
+        verdict = "grs" if log_limit == 0 else "not_grs"
     return GrsEstimate(tuple(int(x) for x in k), samples, limit, verdict)
 
 
 def extended_grs(family, k, m_max):
-    """Extended GRS diagnostic for a decreasing family of weights.
+    """Extended GRS test for a decreasing family of weights, truncated to a list.
 
-    Returns {"inf_limit", "verdict", "per_weight_limits"}; the verdict is
-    "grs" iff inf_n lim_m w_n[mk]^{1/m} <= 1 + GRS_TOL. The family must
-    decrease on the box of radius 4.
+    Returns {"inf_limit", "verdict", "per_weight_limits"}: "grs" iff the least
+    grs_limit is <= 1 + GRS_TOL, else "not_grs", or "inconclusive" if a member
+    is custom. The family must decrease on the box of radius 4.
     """
     family = list(family)
     if not family:
         raise ValueError("invalid family: empty")
     ks = Box((-4,) * family[0].dim, (9,) * family[0].dim).indices()
-    prev = family[0].log_eval(ks)
-    for w in family[1:]:
-        cur = w.log_eval(ks)
-        if np.any(cur > prev + 1e-12):
-            raise ValueError("invalid family: weights are not decreasing on the box of radius 4")
-        prev = cur
+    if np.any(np.diff([w.log_eval(ks) for w in family], axis=0) > 1e-12):
+        raise ValueError("invalid family: weights are not decreasing on the box of radius 4")
     limits = [grs_limit(w, k, m_max).extrapolated_limit for w in family]
     inf_limit = float(min(limits))
-    verdict = "grs" if inf_limit <= 1.0 + GRS_TOL else "not_grs"
+    sampled = any(w._log_limit is None for w in family)
+    verdict = "grs" if inf_limit <= 1.0 + GRS_TOL else "inconclusive" if sampled else "not_grs"
     return {"inf_limit": inf_limit, "verdict": verdict, "per_weight_limits": limits}
 
 

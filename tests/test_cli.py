@@ -317,6 +317,15 @@ class TestJsonText:
                      "malformed Filter JSON", id="filter-fractional-shape"),
         pytest.param(["grs-check", "--weight", '{"kind":"polynomial","dim":1.5,"params":{"n":1}}'],
                      "malformed Weight JSON", id="weight-fractional-dim"),
+        # JSON reads NaN and Infinity; a NaN parameter once printed NaN samples with exit 0
+        pytest.param(["grs-check", "--weight", '{"kind":"polynomial","params":{"n":NaN}}'],
+                     "polynomial order must be finite and >= 0", id="weight-nan-n"),
+        pytest.param(["grs-check", "--weight", '{"kind":"exponential","params":{"r":Infinity}}'],
+                     "exponential rate must be finite and >= 0", id="weight-infinite-r"),
+        pytest.param(["grs-check", "--weight", '{"kind":"subexponential","params":{"r":1,"b":NaN}}'],
+                     "exponent must satisfy 0 <= b < 1", id="weight-nan-b"),
+        pytest.param(["grs-check", "--weight", '{"kind":"polynomial","dim":0,"params":{"n":1}}'],
+                     "weight dim must be >= 1", id="weight-dim-0"),
         # a first FFT grid of 2^26 points per axis: refused before any allocation
         pytest.param(["invert", "--filter", CUBIC, "--radius", "20000000"], "window_radius 20000000",
                      id="invert-huge-radius"),

@@ -36,10 +36,20 @@ class TestEvaluation:
         assert np.isfinite(lv).all() and lv[0] == pytest.approx(2.0 * 2**20)
 
     def test_param_validation(self):
-        with pytest.raises(ValueError):
-            polynomial_weight(-1)
-        with pytest.raises(ValueError):
-            subexponential_weight(1, 1.0)
+        for make in (
+            lambda: polynomial_weight(-1),
+            lambda: subexponential_weight(1, 1.0),
+            lambda: polynomial_weight(np.nan),
+            lambda: polynomial_weight(np.inf),
+            lambda: exponential_weight(np.nan),
+            lambda: exponential_weight(np.inf),
+            lambda: subexponential_weight(np.inf, 0.5),
+            lambda: subexponential_weight(1.0, np.nan),
+            lambda: polynomial_weight(1, dim=0),
+            lambda: custom_weight(lambda ks: np.zeros(len(ks)), dim=-1),
+        ):
+            with pytest.raises(ValueError):
+                make()
 
 
 class TestSubmultiplicative:
@@ -61,6 +71,16 @@ class TestSubmultiplicative:
         w = custom_weight(lambda ks: np.sum(np.abs(ks), axis=-1) ** 2, dim=1)
         box = Box((-3,), (7,))
         assert len(submultiplicative_check(w, box)) > 0
+
+    @pytest.mark.parametrize(
+        "log_eval",
+        [lambda ks: np.full(len(ks), np.nan), lambda ks: np.where(np.sum(ks, axis=-1) > 4, np.inf, 0.0)],
+        ids=["nan", "inf-on-sums"],
+    )
+    def test_non_finite_weight_rejected(self, log_eval):
+        # every comparison with NaN is false, so the pair list would come back empty
+        with pytest.raises(ValueError, match="non-finite"):
+            submultiplicative_check(custom_weight(log_eval), Box((-3,), (7,)))
 
     @given(st.integers(0, 5), st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
@@ -93,11 +113,47 @@ class TestGrsLimit:
         assert est.extrapolated_limit <= 1.01
 
     def test_monotone_in_m_max(self):
-        # Fekete: the running minimum only improves with more samples
-        w = polynomial_weight(3)
-        l1 = grs_limit(w, [1], 2**10).extrapolated_limit
-        l2 = grs_limit(w, [1], 2**20).extrapolated_limit
-        assert l2 <= l1 + 1e-15
+        # Fekete: a custom weight's least sample only improves with more samples
+        w = custom_weight(polynomial_weight(3).log_eval)
+        e1, e2 = grs_limit(w, [1], 2**10), grs_limit(w, [1], 2**20)
+        assert e2.extrapolated_limit <= e1.extrapolated_limit + 1e-15
+        assert e1.extrapolated_limit == min(v for _, v in e1.samples) > 1.0
+
+    @pytest.mark.parametrize("m_max", [16, 1024, 2**20])
+    def test_sampled_misreadings_are_gone(self, m_max):
+        # the slow m^(b-1) decay once read as flat (not_grs), polynomial n = 2
+        # once inconclusive at m_max = 16, and e^r within GRS_TOL of 1 once grs
+        for w in (subexponential_weight(1.0, 0.9), polynomial_weight(2)):
+            est = grs_limit(w, [1], m_max)
+            assert est.verdict == "grs" and est.extrapolated_limit == 1.0
+        for r in (1e-3, 0.04):
+            est = grs_limit(exponential_weight(r), [1], m_max)
+            assert est.verdict == "not_grs" and est.extrapolated_limit == np.exp(r)
+
+    @given(
+        family=st.sampled_from(["polynomial", "exponential", "subexponential"]),
+        n=st.floats(0, 8),
+        r=st.floats(0, 2),
+        b=st.floats(0, 1, exclude_max=True),
+        k=st.integers(1, 3).flatmap(lambda d: st.lists(st.integers(-5, 5), min_size=d, max_size=d)).filter(any),
+        m_max=st.integers(16, 2**20),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_builtins_give_their_closed_form(self, family, n, r, b, k, m_max):
+        d = len(k)
+        w = {
+            "polynomial": lambda: polynomial_weight(n, d),
+            "exponential": lambda: exponential_weight(r, d),
+            "subexponential": lambda: subexponential_weight(r, b, d),
+        }[family]()
+        log_limit = r * sum(abs(x) for x in k) if family == "exponential" else 0.0
+        est = grs_limit(w, k, m_max)
+        assert est.extrapolated_limit == np.exp(log_limit)
+        assert est.verdict == ("grs" if log_limit == 0 else "not_grs")
+        # Fekete: every sample bounds the limit from above
+        assert all(v >= est.extrapolated_limit * (1 - 1e-12) for _, v in est.samples)
+        # the same values without the closed form never give not_grs
+        assert grs_limit(custom_weight(w.log_eval, d), k, m_max).verdict != "not_grs"
 
     def test_direction_2d(self):
         est = grs_limit(exponential_weight(0.3, dim=2), [1, -2], 2**16)
@@ -121,6 +177,12 @@ class TestExtendedGrs:
         family = [exponential_weight(0.1), exponential_weight(0.2)]
         with pytest.raises(ValueError):
             extended_grs(family, [1], 2**16)
+
+    def test_custom_member_is_never_not_grs(self):
+        assert extended_grs([exponential_weight(0.5)], [1], 2**16)["verdict"] == "not_grs"
+        copy = custom_weight(exponential_weight(0.5).log_eval)
+        res = extended_grs([exponential_weight(1.0), copy], [1], 2**16)
+        assert res["verdict"] == "inconclusive" and res["inf_limit"] == pytest.approx(np.exp(0.5), rel=1e-12)
 
     def test_empty_family_rejected(self):
         with pytest.raises(ValueError):

@@ -58,9 +58,21 @@ MIN_FIT_SAMPLES = 16  # decay_fit needs this many points
 
 
 def residual_sup(h, g, radius):
-    """sup over the box of radius `radius` of |(h*g - delta)[k]|."""
-    box = Box((-radius,) * h.dim, (2 * radius + 1,) * h.dim)
-    return float(np.max(np.abs(convolve(h, g).on_box(box) - kronecker(h.dim).on_box(box))))
+    """sup over the box of radius `radius` of |(h*g - delta)[k]|.
+
+    Reads g once on the box widened by h's shape - 1 per axis and adds
+    h[t] times a shifted slice of it per nonzero tap t, in row-major
+    order: taps(h) x (2 radius + 1)^d multiply-adds in (2 radius +
+    shape)^d memory, with no FFT and no full product h*g.
+    """
+    n = 2 * radius + 1
+    shape = h.coeffs.shape
+    gs = g.on_box(Box([-radius - o - s + 1 for o, s in zip(h.origin, shape)], [n + s - 1 for s in shape]))
+    out = np.zeros((n,) * h.dim, dtype=np.result_type(h.coeffs, gs))
+    for t in zip(*np.nonzero(h.coeffs)):
+        out += h.coeffs[t] * gs[tuple(slice(s - 1 - i, s - 1 - i + n) for i, s in zip(t, shape))]
+    out[(radius,) * h.dim] -= 1
+    return float(np.max(np.abs(out)))
 
 
 def _window_radius(window_radius):

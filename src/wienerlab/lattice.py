@@ -143,14 +143,16 @@ class Filter:
     def on_torus(self, N):
         """h folded onto (Z/N)^d: grid[j] = sum of h[k] over k = j mod N.
 
-        The grid keeps the filter's dtype. Raises ValueError before
-        allocating when N^d exceeds GRID_POINT_CAP.
+        One indexed add of the coefficients at the open mesh of their
+        indices mod N per axis; colliding coefficients add in row-major
+        order. The grid keeps the filter's dtype. Raises ValueError
+        before allocating when N^d exceeds GRID_POINT_CAP.
         """
         if N**self.dim > GRID_POINT_CAP:
             raise ValueError(f"grid {N}^{self.dim} exceeds {GRID_POINT_CAP} points")
         grid = np.zeros((N,) * self.dim, dtype=self.coeffs.dtype)
-        flat = np.ravel_multi_index(tuple(self.indices().T), grid.shape, mode="wrap")
-        np.add.at(grid.reshape(-1), flat, self.coeffs.ravel())
+        mesh = np.ix_(*[(np.arange(s) + o) % N for o, s in zip(self.origin, self.coeffs.shape)])
+        np.add.at(grid, mesh, self.coeffs)
         return grid
 
     def real_if_close(self):

@@ -150,7 +150,10 @@ def grs_limit(w, k, m_max):
     the least sample bounds it from above: grs if that bound is <= 1 +
     GRS_TOL, else inconclusive, never not_grs.
     """
-    k = np.atleast_1d(np.asarray(k, dtype=int))
+    try:
+        k = np.atleast_1d(np.asarray(k, dtype=int))
+    except OverflowError as exc:
+        raise ValueError(f"direction k must fit in int64: {exc}") from exc
     if not np.any(k):
         raise ValueError("direction k must be nonzero")
     if m_max < 16:
@@ -158,13 +161,14 @@ def grs_limit(w, k, m_max):
     ms = np.unique(np.append(2.0 ** np.arange(int(m_max).bit_length()), int(m_max)))
     # log w[mk]^{1/m} = log w[mk] / m, evaluated in the log domain
     log_vals = w.log_eval(ms[:, None] * k) / ms
-    samples = [(int(m_i), float(np.exp(lv))) for m_i, lv in zip(ms, log_vals)]
+    # the closed form takes k in floats: an int64 |k|_1 of large entries wraps
+    log_limit = np.min(log_vals) if w._log_limit is None else w._log_limit(k.astype(float))
+    with np.errstate(over="ignore"):  # past e^709.8 a value rounds to inf
+        samples = [(int(m_i), float(v)) for m_i, v in zip(ms, np.exp(log_vals))]
+        limit = float(np.exp(log_limit))
     if w._log_limit is None:
-        limit = float(np.exp(np.min(log_vals)))
         verdict = "grs" if limit <= 1.0 + GRS_TOL else "inconclusive"
     else:
-        log_limit = w._log_limit(k)
-        limit = float(np.exp(log_limit))
         verdict = "grs" if log_limit == 0 else "not_grs"
     return GrsEstimate(tuple(int(x) for x in k), samples, limit, verdict)
 

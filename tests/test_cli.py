@@ -163,6 +163,18 @@ class TestReportsToStdout:
         assert res["verdict"] == "not_grs"
         assert res["extrapolated_limit"] == pytest.approx(np.exp(0.5), rel=1e-12)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_grs_check_limit_past_the_float_range(self, capsys):
+        # e^800 rounds to inf, without numpy's overflow warning
+        code, out, _ = run(
+            capsys, "grs-check", "--weight",
+            '{"kind":"exponential","params":{"r":2}}', "--k", "400",
+        )
+        assert code == 0
+        res = json.loads(out)
+        assert res["verdict"] == "not_grs" and res["extrapolated_limit"] == "inf"
+        assert {v for _, v in res["samples"]} == {"inf"}
+
     def test_symbol_min(self, capsys):
         code, out, _ = run(capsys, "symbol-min", "--filter", CUBIC)
         assert code == 0
@@ -326,6 +338,8 @@ class TestJsonText:
                      "exponent must satisfy 0 <= b < 1", id="weight-nan-b"),
         pytest.param(["grs-check", "--weight", '{"kind":"polynomial","dim":0,"params":{"n":1}}'],
                      "weight dim must be >= 1", id="weight-dim-0"),
+        pytest.param(["grs-check", "--weight", '{"kind":"polynomial","params":{"n":1}}',
+                      "--k", "99999999999999999999"], "direction k must fit in int64", id="grs-k-past-int64"),
         # a first FFT grid of 2^26 points per axis: refused before any allocation
         pytest.param(["invert", "--filter", CUBIC, "--radius", "20000000"], "window_radius 20000000",
                      id="invert-huge-radius"),

@@ -135,15 +135,23 @@ class TestConvolve:
 
 
 @st.composite
-def filters(draw, dim=None):
-    """Random dense filter: d = 1..3, origin within +-40, real or complex."""
+def filters(draw, dim=None, integer=False, reach=40):
+    """Random dense filter: d = 1..3, origin within +-reach, real or complex.
+
+    integer=True draws coefficients from -3..3, so sums of products are
+    exact and zero taps appear inside the support.
+    """
     d = dim or draw(st.integers(1, 3))
     shape = tuple(draw(st.integers(1, 7 - 2 * (d - 1))) for _ in range(d))
-    origin = tuple(draw(st.integers(-40, 40)) for _ in range(d))
+    origin = tuple(draw(st.integers(-reach, reach)) for _ in range(d))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    c = rng.standard_normal(shape)
+
+    def part():
+        return rng.integers(-3, 4, shape).astype(float) if integer else rng.standard_normal(shape)
+
+    c = part()
     if draw(st.booleans()):
-        c = c + 1j * rng.standard_normal(shape)
+        c = c + 1j * part()
     return Filter(origin, c)
 
 
@@ -218,13 +226,16 @@ class TestGridViews:
         assert sup_difference(a, b) == sup_reference(a, b, union)
 
     @given(st.data())
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=100, deadline=None)
     def test_residual_sup_matches_loop(self, data):
-        h = data.draw(filters())
-        g = data.draw(filters(dim=h.dim))
+        # integer coefficients make every sum exact, so == holds whatever the
+        # summation order and still catches any indexing error; g near the
+        # origin puts the box past g's support on every side
+        h = data.draw(filters(integer=True))
+        g = data.draw(filters(dim=h.dim, integer=True, reach=data.draw(st.sampled_from([3, 40]))))
         radius = data.draw(st.integers(0, {1: 45, 2: 12, 3: 5}[h.dim]))
         box = Box((-radius,) * h.dim, (2 * radius + 1,) * h.dim)
-        conv = convolve(h, g)
+        conv = convolve(h, g, method="direct")
         assert residual_sup(h, g, radius) == sup_reference(conv, kronecker(h.dim), box)
 
 

@@ -163,6 +163,11 @@ class TestGrsLimit:
         with pytest.raises(ValueError):
             grs_limit(polynomial_weight(1), [0], 2**16)
 
+    def test_limit_sums_the_direction_in_floats(self):
+        # |k|_1 = 2^63 here; an int64 sum wraps it to -2^63 and the limit to e^-9.2
+        est = grs_limit(exponential_weight(1e-18, dim=2), [2**62, 2**62], 16)
+        assert est.extrapolated_limit == np.exp(1e-18 * 2.0**63) > 1
+
 
 class TestExtendedGrs:
     def test_decreasing_family_infimum(self):

@@ -195,6 +195,8 @@ def _cmd_spline_lagrange(args):
 
 def _cmd_reproduce(args):
     gen = bspline_generator(args.degree)
+    if not -math.inf < args.x_min <= args.x_max < math.inf:
+        raise ValueError(f"x_min and x_max must be finite with x_min <= x_max, got {args.x_min} and {args.x_max}")
     x_max = max(abs(args.x_min), abs(args.x_max))
     K = args.k_sum + int(np.ceil(x_max)) + 2
     kernel = lagrange_kernel_space(gen, grid_step=args.x_step, K=K)

@@ -116,7 +116,7 @@ def toeplitz_oracle(h, window_radius):
     window = Box((-W,) * d, (n,) * d)
     rows = Box(np.subtract(h.origin, W), np.add(h.coeffs.shape, n - 1))  # the support of h*g
     h_adj = Filter(1 - np.add(h.origin, h.coeffs.shape), np.conj(np.flip(h.coeffs)))
-    R = convolve(h_adj, h, method="direct").on_box(Box((-2 * W,) * d, (2 * n - 1,) * d))
+    R = convolve(h_adj, h).on_box(Box((-2 * W,) * d, (2 * n - 1,) * d))
     # R is row-major, so its flat index is linear in the lag: l_i - l_j sits at at[i] - at[j] + at[-1]
     at = np.ravel_multi_index(np.indices(window.shape).reshape(d, -1), R.shape)
     solve_flat = _banded_cholesky(lambda r, c: R.take(np.subtract.outer(at[r], at[c] - at[-1])), n**d, bw)
@@ -125,8 +125,8 @@ def toeplitz_oracle(h, window_radius):
         return solve_flat(rhs.on_box(window).ravel()).reshape(window.shape)
 
     g = solve(h_adj)
-    e = kronecker(d).on_box(rows) - convolve(h, Filter(window.origin, g), method="direct").on_box(rows)
-    g += solve(convolve(h_adj, Filter(rows.origin, e), method="direct"))
+    e = kronecker(d).on_box(rows) - convolve(h, Filter(window.origin, g)).on_box(rows)
+    g += solve(convolve(h_adj, Filter(rows.origin, e)))
     return Filter(window.origin, g)
 
 
@@ -192,13 +192,16 @@ def invert_stable(h, tail_tol=1e-10, window_radius=40, certificate=None):
     sup |(h*g - delta)[k]| <= tail_tol over the verification box; a grid
     at roundoff that misses it, or the grid cap, raises
     ToleranceUnreachableError. A first grid of more than GRID_AXIS_CAP
-    points per axis or GRID_POINT_CAP in all raises ValueError.
+    points per axis or GRID_POINT_CAP in all, or a tail_tol that is not
+    >= 0 (NaN included), raises ValueError.
     """
     return _invert_stable(h, tail_tol, window_radius, certificate)[0]
 
 
 def _invert_stable(h, tail_tol, window_radius, certificate):
     """invert_stable's inverse g and the residual sup its contract verified."""
+    if not tail_tol >= 0:  # NaN too: no residual would ever meet it
+        raise ValueError(f"tail_tol must be >= 0, got {tail_tol}")
     W = _certified_window(h, window_radius, certificate)
     d = h.dim
     verify_radius = max(W - h.support.extent, 0)
@@ -431,10 +434,13 @@ def invert_singular_1d(h, window_radius, residual_tol=1e-9):
     cumulative sum. The result is the causal representative of the
     non-unique slow-growth inverse; it satisfies h*g = delta on the window
     interior. The window sits about index 0 for a filter at origin 0 and
-    moves by -origin with the filter; one of more than GRID_AXIS_CAP points
-    raises ValueError before any coefficient is evaluated.
+    moves by -origin with the filter; one of more than GRID_AXIS_CAP points,
+    or a residual_tol that is not >= 0, raises ValueError before any
+    coefficient is evaluated.
     """
     W = _window_radius(window_radius)
+    if not residual_tol >= 0:  # NaN too: every residual would pass it
+        raise ValueError(f"residual_tol must be >= 0, got {residual_tol}")
     inner, unit, outer = _split_roots(h)
     if not unit:
         raise WrongBranchError("symbol has no unit-circle zeros; use invert_exact_1d")
@@ -484,8 +490,6 @@ class DecayReport:
     order: float
     fit_constant: float
     residual_rms: float
-    alt_residual_rms: float
-    window_used: Box
 
 
 def decay_fit(g):
@@ -507,10 +511,10 @@ def decay_fit(g):
         raise ValueError("degenerate input: all samples beyond the origin are zero")
     if np.count_nonzero(nonzero) < MIN_FIT_SAMPLES:
         raise ValueError(f"need at least {MIN_FIT_SAMPLES} nonzero samples")
-    return _dual_model_fit(dist1[nonzero], dist2[nonzero], vals[nonzero], g.support)
+    return _dual_model_fit(dist1[nonzero], dist2[nonzero], vals[nonzero])
 
 
-def _dual_model_fit(dist1, dist2, vals, window):
+def _dual_model_fit(dist1, dist2, vals):
     sel = dist1 >= max(np.max(dist1) / 2.0, 1.0)  # the outer half, at least 1 out
     d1, d2, v = dist1[sel], dist2[sel], vals[sel]
     logv = np.log(v)
@@ -525,11 +529,11 @@ def _dual_model_fit(dist1, dist2, vals, window):
     (a_alg, slope_alg), rms_alg = linfit(np.log1p(d2))
 
     if rms_exp * 2.0 <= rms_alg:
-        model, rms, alt, const = "exponential", rms_exp, rms_alg, np.exp(a_exp)
+        model, rms, const = "exponential", rms_exp, np.exp(a_exp)
     elif rms_alg * 2.0 <= rms_exp:
-        model, rms, alt, const = "algebraic", rms_alg, rms_exp, np.exp(a_alg)
+        model, rms, const = "algebraic", rms_alg, np.exp(a_alg)
     else:
-        model, rms, alt = "mixed", min(rms_exp, rms_alg), max(rms_exp, rms_alg)
+        model, rms = "mixed", min(rms_exp, rms_alg)
         const = np.exp(a_exp if rms_exp <= rms_alg else a_alg)
     return DecayReport(
         model=model,
@@ -537,6 +541,4 @@ def _dual_model_fit(dist1, dist2, vals, window):
         order=float(slope_alg),
         fit_constant=float(const),
         residual_rms=rms,
-        alt_residual_rms=alt,
-        window_used=window,
     )

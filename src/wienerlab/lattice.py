@@ -8,6 +8,7 @@ construction and canonically trimmed, so support comparison is exact.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,9 +25,8 @@ __all__ = [
     "filter_from_json",
 ]
 
-# Supports up to this many points use the direct double sum; larger ones
-# go through the FFT path (both agree to 1e-10 relative, see tests).
-DIRECT_CONVOLUTION_CUTOFF = 4096
+# read only by bench/tracer.py's fft counter (convolve has no FFT path); ROADMAP item 0 drops both
+DIRECT_CONVOLUTION_CUTOFF = math.inf
 # Total-grid-point ceiling so multidimensional sweeps cannot exhaust memory.
 GRID_POINT_CAP = 2**26
 # Points on one axis of an FFT grid, a certificate sweep or a singular window.
@@ -218,54 +218,23 @@ def delta_shift(d, k):
 # -- operations --------------------------------------------------------------
 
 
-def convolve(a, b, method=None):
+def convolve(a, b):
     """Exact finite convolution; support is the Minkowski sum of supports.
 
-    method: None (auto by size), "direct", or "fft".
+    The direct sum: a scaled, shifted copy of the larger operand for each
+    nonzero tap of the smaller one, in row-major order, so taps(smaller) x
+    size(larger) multiply-adds and no FFT. That is cheap when one operand
+    is a filter; two large operands cost the product of their sizes.
     """
     if not isinstance(a, Filter) or not isinstance(b, Filter):
         raise TypeError("convolve expects Filter operands")
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    out_shape = tuple(sa + sb - 1 for sa, sb in zip(a.coeffs.shape, b.coeffs.shape))
-    out_origin = tuple(oa + ob for oa, ob in zip(a.origin, b.origin))
-    if method is None:
-        method = "direct" if int(np.prod(out_shape)) <= DIRECT_CONVOLUTION_CUTOFF else "fft"
-    if method == "direct":
-        out = _convolve_direct(a.coeffs, b.coeffs, out_shape)
-    elif method == "fft":
-        out = _convolve_fft(a.coeffs, b.coeffs, out_shape)
-    else:
-        raise ValueError(f"unknown convolution method {method!r}")
-    return Filter(out_origin, out)
-
-
-def _convolve_direct(ca, cb, out_shape):
-    # Direct double sum: accumulate a shifted copy of b for every nonzero
-    # coefficient of a. This is the oracle path.
-    if ca.size > cb.size:
-        ca, cb = cb, ca
-    dtype = np.result_type(ca.dtype, cb.dtype)
-    out = np.zeros(out_shape, dtype=dtype)
-    for idx in np.ndindex(ca.shape):
-        v = ca[idx]
-        if v == 0:
-            continue
-        sl = tuple(slice(i, i + s) for i, s in zip(idx, cb.shape))
-        out[sl] += v * cb
-    return out
-
-
-def _convolve_fft(ca, cb, out_shape):
-    dtype = np.result_type(ca.dtype, cb.dtype)
-    axes = tuple(range(len(out_shape)))
-    if dtype.kind == "c":
-        fa = np.fft.fftn(ca, out_shape, axes=axes)
-        fb = np.fft.fftn(cb, out_shape, axes=axes)
-        return np.fft.ifftn(fa * fb, axes=axes)
-    fa = np.fft.rfftn(ca, out_shape, axes=axes)
-    fb = np.fft.rfftn(cb, out_shape, axes=axes)
-    return np.fft.irfftn(fa * fb, out_shape, axes=axes)
+    ca, cb = (a.coeffs, b.coeffs) if a.coeffs.size <= b.coeffs.size else (b.coeffs, a.coeffs)
+    out = np.zeros([sa + sb - 1 for sa, sb in zip(ca.shape, cb.shape)], dtype=np.result_type(ca, cb))
+    for idx in zip(*np.nonzero(ca)):
+        out[tuple(slice(i, i + s) for i, s in zip(idx, cb.shape))] += ca[idx] * cb
+    return Filter(tuple(oa + ob for oa, ob in zip(a.origin, b.origin)), out)
 
 
 def weighted_norm(a, p, w):

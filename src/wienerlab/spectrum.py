@@ -121,7 +121,11 @@ def min_modulus_certified(h, target_gap=1e-9):
     every factor's bound b_j is positive, min_j b_j - r otherwise. A dense
     first grid of more than GRID_POINT_CAP points (d >= 5) raises
     ValueError, and the dense sweep stops before a grid over the cap.
+    target_gap must be > 0: near a zero the grid minimum only shrinks
+    towards it, so a gap of 0 or NaN would sweep on to the cap.
     """
+    if not target_gap > 0:
+        raise ValueError(f"target_gap must be > 0, got {target_gap}")
     if not np.any(h.coeffs):
         raise ValueError("filter is identically zero")
     factors, r = _sweep_factors(h)
@@ -167,8 +171,6 @@ class DerivativeGrowth:
     log_moments: np.ndarray
     fit_constant: float
     fitted_rate: float
-    least_squares_rate: float
-    fit_residual_rms: float
 
 
 def derivative_growth(h, n_max):
@@ -194,14 +196,13 @@ def derivative_growth(h, n_max):
     finite = np.isfinite(log_D)
     if np.count_nonzero(finite) < 3:
         # support {0}: trivially analytic, no decaying tail to rate-fit
-        return DerivativeGrowth(log_D, float(np.exp(log_D[0])), np.inf, np.inf, 0.0)
+        return DerivativeGrowth(log_D, float(np.exp(log_D[0])), np.inf)
 
     y = log_D[finite] - np.cumsum(np.log(np.maximum(ns, 1)))[finite]
     n_fit = ns[finite].astype(float)
     A = np.vstack([np.ones_like(n_fit), -n_fit]).T
     coef, *_ = np.linalg.lstsq(A, y, rcond=None)
     log_C, log_R = coef
-    resid = float(np.sqrt(np.mean((A @ coef - y) ** 2)))
     R_ls = float(np.exp(log_R))
     # Per-n rate estimates: under D_n = C n!/R^n, n D_{n-1}/D_n == R for
     # every n; their minimum is a conservative estimate when the model
@@ -210,7 +211,7 @@ def derivative_growth(h, n_max):
     ratio = np.log(nf[1:].astype(float)) + log_D[finite][:-1] - log_D[finite][1:]
     R_ratio = float(np.exp(np.min(ratio))) if len(ratio) else np.inf
     fitted = min(R_ls, R_ratio)
-    return DerivativeGrowth(log_D, float(np.exp(log_C)), fitted, R_ls, resid)
+    return DerivativeGrowth(log_D, float(np.exp(log_C)), fitted)
 
 
 def lemma_bound_check(c, n_max):

@@ -33,7 +33,7 @@ from .errors import TailBoundError
 from .inversion import DecayReport, invert_exact_1d
 # re-exported only for the install check at bench/test_bench.py:132, which ROADMAP item 0 moves
 from .inversion import invert_stable  # noqa: F401
-from .lattice import GRID_POINT_CAP, Box, Filter, convolve, json_int
+from .lattice import GRID_POINT_CAP, Filter, convolve, json_int
 
 __all__ = [
     "bspline_value",
@@ -323,7 +323,7 @@ def _kernel(M, K, samples, rate):
     else:
         kept = size >= np.max(size) * 1e-12
         model, C = "exponential", np.max(size[kept] * np.exp(rate * np.abs(positions[kept])))
-    decay = DecayReport(model, rate, -np.inf, float(C), 0.0, 0.0, Box((0,), (max(K, 1),)))
+    decay = DecayReport(model, rate, -np.inf, float(C), 0.0)
     return LagrangeKernel(1.0 / M, positions, samples, samples[::M], K, decay)
 
 
@@ -384,7 +384,7 @@ def interpolate(data, gen):
     for axis in range(data.dim):
         origin, shape = [0] * data.dim, [1] * data.dim
         origin[axis], shape[axis] = h.origin[0], -1
-        c = convolve(Filter(origin, h.coeffs.reshape(shape)), c, method="direct")
+        c = convolve(Filter(origin, h.coeffs.reshape(shape)), c)
     return c
 
 
@@ -394,9 +394,16 @@ def reproduction_check(p, kernel, target, xs, K_sum, tol=1e-9):
     p: callable k -> value (vectorized over an int array). A tail
     estimate from the kernel's decay report, |phi_int(x)| <= C e^{-a |x|},
     is computed first; if it exceeds tol the sum cannot certify the
-    identity and an error is raised.
+    identity and an error is raised. ValueError unless tol >= 0, K_sum >= 0
+    and xs is non-empty and finite.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    if not tol >= 0:  # NaN too: no tail estimate would ever exceed it
+        raise ValueError(f"tol must be >= 0, got {tol}")
+    if K_sum < 0:
+        raise ValueError(f"K_sum must be >= 0, got {K_sum}")
+    if xs.size == 0 or not np.all(np.isfinite(xs)):
+        raise ValueError("xs must be non-empty and finite")
     ks = np.arange(-K_sum, K_sum + 1)
     if xs.size * ks.size > GRID_POINT_CAP:
         raise ValueError(f"reproduction grid of {xs.size} x {ks.size} points exceeds {GRID_POINT_CAP} points")

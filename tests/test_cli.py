@@ -355,6 +355,19 @@ class TestJsonText:
         pytest.param(["lemma-check", "--c", "1e-7"], "exceeds the float range", id="lemma-overflowing-sums"),
         pytest.param(["lemma-check", "--c", "1", "--n-max", "-1"], "n_max must be in [0, 60]",
                      id="lemma-negative-n-max"),
+        # a gap of 0 or NaN never ends the sweep; a NaN tolerance never fails its check
+        pytest.param(["symbol-min", "--filter", CUBIC, "--target-gap", "nan"], "target_gap must be > 0",
+                     id="symbol-min-nan-gap"),
+        pytest.param(["symbol-min", "--filter", CUBIC, "--target-gap", "0"], "target_gap must be > 0",
+                     id="symbol-min-zero-gap"),
+        pytest.param(["invert", "--filter", CUBIC, "--tol", "nan"], "tail_tol must be >= 0", id="invert-nan-tol"),
+        pytest.param(["invert-singular", "--filter", DIFFERENCE, "--tol", "nan"], "residual_tol must be >= 0",
+                     id="singular-nan-tol"),
+        pytest.param(["reproduce", "--tol", "nan"], "tol must be >= 0", id="reproduce-nan-tol"),
+        pytest.param(["reproduce", "--k-sum", "-3"], "K_sum must be >= 0", id="reproduce-negative-k-sum"),
+        pytest.param(["reproduce", "--x-max", "inf"], "x_min and x_max must be finite", id="reproduce-infinite-x-max"),
+        pytest.param(["reproduce", "--x-min", "nan"], "x_min and x_max must be finite", id="reproduce-nan-x-min"),
+        pytest.param(["reproduce", "--x-min", "5", "--x-max", "-5"], "x_min <= x_max", id="reproduce-reversed-range"),
     ],
 )
 def test_bad_input_exits_1_with_one_line(argv, names, tmp_path, capsys, monkeypatch):

@@ -495,7 +495,7 @@ def test_box_and_hat_are_compact(build, step):
     for degree, want in ((0, box), (1, hat)):
         k = build(bspline_generator(degree), grid_step=step, K=6)
         assert np.max(np.abs(k.samples - want(k.positions))) <= 1e-15
-        assert k.decay == DecayReport("compact", np.inf, -np.inf, np.max(k.samples), 0.0, 0.0, Box((0,), (6,)))
+        assert k.decay == DecayReport("compact", np.inf, -np.inf, np.max(k.samples), 0.0)
 
 
 def kernel_cases():
@@ -653,6 +653,19 @@ class TestReproduction:
         monkeypatch.setattr(splines, "GRID_POINT_CAP", 161 * 81 - 1)
         with pytest.raises(ValueError, match="161 x 81 points exceeds"):
             reproduction_check(*args, K_sum=40, tol=1e-6)
+
+    @pytest.mark.parametrize(
+        "xs, K_sum, tol, match",
+        [([], 40, 1e-6, "xs must be non-empty and finite"),
+         ([0.0, np.nan], 40, 1e-6, "xs must be non-empty and finite"),
+         ([np.inf], 40, 1e-6, "xs must be non-empty and finite"),
+         ([0.0], -3, 1e-6, "K_sum must be >= 0"),
+         ([0.0], 40, np.nan, "tol must be >= 0"),
+         ([0.0], 40, -1.0, "tol must be >= 0")],
+    )
+    def test_bad_arguments_raise(self, wide_kernel, xs, K_sum, tol, match):
+        with pytest.raises(ValueError, match=match):
+            reproduction_check(lambda k: np.abs(k.astype(float)) ** 3, wide_kernel, abs, xs, K_sum=K_sum, tol=tol)
 
     def test_tail_bound_enforced(self, wide_kernel):
         xs = np.array([0.5])

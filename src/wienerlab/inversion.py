@@ -141,15 +141,26 @@ def _banded_cholesky(block, n, bw):
     Blocks of s = max(bw, BAND_BLOCK_MIN) rows, read as block(rows, cols) = M[rows, cols],
     make M block tridiagonal, so M = L L^H with L block lower bidiagonal: D_k = chol(M_kk -
     C_k C_k^H) on the diagonal and C_{k+1} = M_{k+1,k} D_k^{-H} below it. Each D_k is
-    inverted once; solve runs the block forward and back substitutions."""
+    inverted once; solve runs the block forward and back substitutions.
+
+    D_k and C_{k+1} depend only on the Schur complement M_kk - C_k C_k^H and on
+    M_{k+1,k}. When both equal block k-1's bit for bit (in 1-D the blocks are
+    Toeplitz and the Schur complement settles after a few blocks), block k-1's
+    D^{-1} and C are reused, which is what factorising again would give."""
     s = max(bw, BAND_BLOCK_MIN)
     blocks = [slice(a, a + s) for a in range(0, n, s)]
     D_inv, C = [], [None]  # C[k] is C_k, below D_{k-1}
+    last = ()  # block k-1's Schur complement and sub-diagonal block
     for k, b in enumerate(blocks):
         M_col = block(slice(b.start, b.stop + s), b)  # M_kk over M_{k+1,k}
         Mkk = M_col[:s] - C[k] @ C[k].conj().T if k else M_col[:s]
-        D_inv.append(np.linalg.inv(np.linalg.cholesky(Mkk)))
-        C.append(M_col[s:] @ D_inv[k].conj().T)  # empty after the last block
+        if last and np.array_equal(Mkk, last[0]) and np.array_equal(M_col[s:], last[1]):
+            D_inv.append(D_inv[-1])
+            C.append(C[-1])
+        else:
+            D_inv.append(np.linalg.inv(np.linalg.cholesky(Mkk)))
+            C.append(M_col[s:] @ D_inv[k].conj().T)  # empty after the last block
+        last = Mkk, M_col[s:]
 
     def solve(rhs):
         y = [D_inv[0] @ rhs[blocks[0]]]
@@ -338,8 +349,11 @@ class ExactInverse1D:
     decay_rate: float
 
     def evaluate(self, ks):
-        """g[k] for an integer array ks."""
-        ks = np.atleast_1d(np.asarray(ks, dtype=int))
+        """g[k] for an integer array ks; ValueError for a non-integer or non-finite index."""
+        ks = np.atleast_1d(np.asarray(ks))
+        if ks.dtype.kind not in "iuf" or not np.all(np.isfinite(ks) & (ks == np.trunc(ks))):
+            raise ValueError("indices must be finite integers")
+        ks = ks.astype(int)
         m = ks + self.k_max  # g[k] = [z^{-m}] 1/Q
         right = m >= 1
         causal = _series(*self.causal, int(m.max(initial=0)))
@@ -350,6 +364,8 @@ class ExactInverse1D:
         return out
 
     def to_filter(self, radius):
+        if radius < 0:
+            raise ValueError(f"radius must be >= 0, got {radius}")
         ks = np.arange(-radius, radius + 1)
         return Filter((-radius,), self.evaluate(ks))
 

@@ -14,8 +14,9 @@ B-spline values are exact: at a float or grid point j/M, n! (2M)^n B_n
 is an integer sum of truncated powers, divided once with correct rounding.
 
 Constants of a degree are built once per process and kept read-only: the
-exact inverse of the integer samples, interpolate's prefilter and, in a
-bounded cache, the B-spline's half grid per grid step (see bspline_grid).
+exact inverse of the integer samples, its taps up to 2^14 a side (see
+_bspline_taps), interpolate's prefilter and, in a bounded cache, the
+B-spline's half grid per grid step (see bspline_grid).
 """
 
 from __future__ import annotations
@@ -152,13 +153,37 @@ def _bspline_inverse(n):
     return exact
 
 
+_kept_taps = {}  # degree -> the longest read-only taps g[k], |k| <= its radius, kept so far
+
+
+def _bspline_taps(n, r):
+    """Read-only taps g[k], |k| <= r, of _bspline_inverse(n).
+
+    evaluate's recurrences are prefix-stable: series term t depends only on
+    numerator term t and the terms before it, so the taps of a smaller radius
+    are a slice of a larger radius's bit for bit. The longest taps asked for
+    with r <= _HALF_GRID_CACHE_POINTS = 2^14 are kept per degree, at most
+    12 x (2 x 2^14 + 1) float64 (3 MiB), and sliced; a larger r is evaluated
+    on every call and not kept.
+    """
+    kept = _kept_taps.get(n)
+    if kept is not None and 2 * r + 1 <= len(kept):
+        mid = len(kept) // 2
+        return kept[mid - r : mid + r + 1]
+    taps = _bspline_inverse(n).evaluate(np.arange(-r, r + 1))
+    taps.flags.writeable = False
+    if r <= _HALF_GRID_CACHE_POINTS:
+        _kept_taps[n] = taps
+    return taps
+
+
 @cache
 def _prefilter(n):
     """interpolate's 1-D inverse filter of degree n: c has infinite support, so
     the exact inverse is cut where its decay rate puts its taps below TAIL_TOL."""
-    exact = _bspline_inverse(n)
-    scale = max(abs(exact.evaluate([0])[0]), 1.0)
-    return exact.to_filter(int(np.ceil(np.log(scale / TAIL_TOL) / exact.decay_rate)) + 4)
+    scale = max(abs(_bspline_taps(n, 0)[0]), 1.0)
+    radius = int(np.ceil(np.log(scale / TAIL_TOL) / _bspline_inverse(n).decay_rate)) + 4
+    return Filter((-radius,), _bspline_taps(n, radius))
 
 
 @cache
@@ -340,7 +365,7 @@ def lagrange_kernel_space(gen, grid_step=1.0 / 16, K=20):
     # phi's grid has (degree + 1) M + 3 points
     _check_kernel_size(K, width + (degree + 1) * M + 2)
     upsampled = np.zeros(width)
-    upsampled[::M] = _bspline_inverse(degree).evaluate(np.arange(-r, r + 1))
+    upsampled[::M] = _bspline_taps(degree, r)
     # both factors are centred on x = 0, so the middle sample is phi_int(0)
     phi_int = np.convolve(upsampled, bspline_grid(degree, grid_step)[1])
     mid = len(phi_int) // 2

@@ -107,13 +107,23 @@ def clear_process_caches():
     cli._build_parser.cache_clear()
     for cached in (splines._bspline_inverse, splines._prefilter, splines._cached_half_grid):
         cached.cache_clear()
+    splines._kept_taps.clear()
+
+
+def fill_long_taps():
+    """Keep every degree's inverse taps out to |k| = 200 + (n + 1)//2."""
+    for n in range(splines.MAX_BSPLINE_DEGREE + 1):
+        splines.lagrange_kernel_space(splines.bspline_generator(n), grid_step=1, K=200)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_unchanged(name, golden, tmp_path, monkeypatch):
-    # on empty per-process caches, then again on the ones the first run filled
+    # on empty per-process caches, again on the ones the first run filled,
+    # and once more with taps kept out to a larger radius than any case asks
     clear_process_caches()
-    for run in ("cold", "warm"):
+    for run in ("cold", "warm", "long-taps"):
+        if run == "long-taps":
+            fill_long_taps()
         (tmp_path / run).mkdir()
         monkeypatch.chdir(tmp_path / run)
         assert run_case(CASES[name]) == golden[name], run

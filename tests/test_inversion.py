@@ -130,6 +130,20 @@ class TestExact1D:
         assert ex.evaluate([-2])[0] == pytest.approx(0.25)
         assert ex.evaluate([0])[0] == 0.0
 
+    @pytest.mark.parametrize("ks", [[0.7, 1.2], [0, 0.5], [np.nan], [-np.inf], [1j]], ids=str)
+    def test_non_integer_index_raises(self, ks):
+        # a fractional index used to be truncated to g[0], g[1], ...
+        with pytest.raises(ValueError, match="finite integers"):
+            invert_exact_1d(Filter((0,), [4.0, 1.0])).evaluate(ks)
+
+    def test_integer_valued_float_index_is_its_integer(self):
+        ex = invert_exact_1d(Filter((0,), [4.0, 1.0]))
+        assert np.array_equal(ex.evaluate([-1.0, 0.0, 2.0]), ex.evaluate([-1, 0, 2]))
+
+    def test_negative_radius_raises(self):
+        with pytest.raises(ValueError, match="radius"):
+            invert_exact_1d(cubic()).to_filter(-2)
+
     def test_unit_root_raises(self):
         with pytest.raises(SingularSymbolError) as exc:
             invert_exact_1d(Filter((0,), np.array([1.0, -1.0])))
@@ -391,6 +405,10 @@ class TestToeplitzOracle:
     @example((1, 40, 5, 0, False, 2))  # n = 81 rows in blocks of 32, 32, 17
     @example((2, 3, 7, -2, True, 3))  # bw = 48 of 49 rows: blocks of 48 and 1
     @example((3, 2, 3, 1, False, 4))  # 125 rows, bw = 62: blocks of 62, 62, 1
+    # 269 rows in 9 blocks of 32 (the last of 13): the Schur complement settles
+    # and the last blocks before the short one reuse the factor before them
+    @example((1, 134, 25, 0, False, 0))
+    @example((1, 134, 25, -2, True, 3))
     @settings(max_examples=25, deadline=None)
     def test_banded_solve_matches_dense_least_squares(self, case):
         d, W, L, shift, is_complex, seed = case
@@ -403,6 +421,17 @@ class TestToeplitzOracle:
         want = np.linalg.lstsq(A, kronecker(d).on_box(rows).ravel(), rcond=None)[0]
         got = toeplitz_oracle(h, W).on_box(cols).ravel()
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_settled_blocks_are_not_factorised_again(self, monkeypatch):
+        # the cubic at radius 134: 269 rows in 9 blocks of 32; block by block
+        # the Schur complement becomes bitwise constant, and from then on each
+        # block reuses the factor before it
+        calls = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(a.shape) or cholesky(a))
+        g = toeplitz_oracle(cubic(), 134)
+        assert len(calls) < 9
+        assert np.max(np.abs(g.coeffs - invert_exact_1d(cubic()).evaluate(np.arange(-134, 135)))) < 1e-12
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=10, deadline=None)

@@ -149,7 +149,7 @@ def test_kernel_grid_over_the_cap_raises(build, monkeypatch):
     # lookup fails here
     build(bspline_generator(3), grid_step=1 / 16, K=20)
     monkeypatch.setattr(splines, "GRID_POINT_CAP", 700)
-    for helper in ("bspline_grid", "invert_exact_1d", "_bspline_inverse", "_cached_half_grid", "_half_grid"):
+    for helper in ("bspline_grid", "invert_exact_1d", "_bspline_inverse", "_bspline_taps", "_cached_half_grid", "_half_grid"):
         monkeypatch.setattr(splines, helper, None)
     with pytest.raises(ValueError, match="exceeds 700 points"):
         build(bspline_generator(3), grid_step=1 / 16, K=20)
@@ -158,6 +158,7 @@ def test_kernel_grid_over_the_cap_raises(build, monkeypatch):
 def clear_spline_caches():
     for cached in (splines._bspline_inverse, splines._prefilter, splines._cached_half_grid, splines._cot_coefficients):
         cached.cache_clear()
+    splines._kept_taps.clear()
 
 
 @pytest.mark.parametrize("degree", range(12))
@@ -181,6 +182,7 @@ def test_cached_arrays_are_read_only():
     gen = bspline_generator(3)
     exact = splines._bspline_inverse(3)
     cached = [splines._cached_half_grid(3, 16), *exact.causal, *exact.anticausal, splines._prefilter(3).coeffs]
+    cached += [splines._bspline_taps(3, 40), splines._kept_taps[3]]
     for a in cached:
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 1.0
@@ -209,6 +211,38 @@ def test_half_grid_cache_is_bounded():
     assert splines._cached_half_grid.cache_info().currsize == 1
     mid = len(v) // 2
     assert (x[mid], v[mid]) == (0.0, 1.0) and np.array_equal(v, v[::-1])
+
+
+LONG_TAPS = splines._HALF_GRID_CACHE_POINTS  # the largest radius whose taps are kept
+
+
+@given(
+    st.integers(0, 11),
+    st.lists(st.one_of(st.integers(0, 300), st.integers(LONG_TAPS - 2, LONG_TAPS + 2)), min_size=1, max_size=5),
+)
+@example(3, [5, 2, 40, 0, 40])
+@example(11, [LONG_TAPS + 1, 7, LONG_TAPS, 3])
+@settings(max_examples=15, deadline=None)
+def test_kept_taps_are_the_fresh_taps(degree, radii):
+    # whatever was asked before, each answer is a fresh evaluation, byte for byte
+    splines._kept_taps.clear()
+    for r in radii:
+        got = splines._bspline_taps(degree, r)
+        want = invert_exact_1d(bspline_samples(degree)).evaluate(np.arange(-r, r + 1))
+        assert got.tobytes() == want.tobytes(), r
+        assert not got.flags.writeable
+
+
+def test_kept_taps_are_bounded():
+    # worst case retained: 12 degrees of 2 x 2^14 + 1 float64 taps, 3 MiB
+    assert 12 * (2 * LONG_TAPS + 1) * 8 <= 3.01 * 2**20
+    splines._kept_taps.clear()
+    splines._bspline_taps(2, 10)
+    splines._bspline_taps(2, LONG_TAPS + 5)
+    assert len(splines._kept_taps[2]) == 21
+    splines._bspline_taps(2, LONG_TAPS)
+    splines._bspline_taps(2, LONG_TAPS + 1)
+    assert len(splines._kept_taps[2]) == 2 * LONG_TAPS + 1
 
 
 @pytest.mark.parametrize("degree", range(2, 12))

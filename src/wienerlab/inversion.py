@@ -274,6 +274,8 @@ ROOT_GROUP_GAP = 1e-3
 def _groups(roots):
     """The roots linked by chains of gaps below ROOT_GROUP_GAP, one array per group."""
     near = np.abs(roots[:, None] - roots[None, :]) < ROOT_GROUP_GAP
+    if np.count_nonzero(near) == len(roots):  # singletons, in np.unique's (descending) order
+        return [roots[i : i + 1] for i in range(len(roots) - 1, -1, -1)]
     for _ in range(len(roots).bit_length()):  # transitive closure by squaring
         near = near @ near
     return [roots[row] for row in np.unique(near, axis=0)]

@@ -221,20 +221,26 @@ def delta_shift(d, k):
 def convolve(a, b):
     """Exact finite convolution; support is the Minkowski sum of supports.
 
-    The direct sum: a scaled, shifted copy of the larger operand for each
-    nonzero tap of the smaller one, in row-major order, so taps(smaller) x
-    size(larger) multiply-adds and no FFT. That is cheap when one operand
-    is a filter; two large operands cost the product of their sizes.
+    The direct sum, size(a) x size(b) multiply-adds and no FFT: cheap when
+    one operand is a filter; two large operands cost the product of their
+    sizes. In 1-D it is np.convolve, the same sum in C: one 80-sample
+    spline interpolation (53-129 taps) takes 20 us there against 0.23 ms
+    as one Python step per tap (2-vCPU Xeon, one BLAS thread). In d >= 2
+    it adds a scaled, shifted copy of the larger operand for each nonzero
+    tap of the smaller one, in row-major order.
     """
     if not isinstance(a, Filter) or not isinstance(b, Filter):
         raise TypeError("convolve expects Filter operands")
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    origin = tuple(oa + ob for oa, ob in zip(a.origin, b.origin))
+    if a.dim == 1:
+        return Filter(origin, np.convolve(a.coeffs, b.coeffs))
     ca, cb = (a.coeffs, b.coeffs) if a.coeffs.size <= b.coeffs.size else (b.coeffs, a.coeffs)
     out = np.zeros([sa + sb - 1 for sa, sb in zip(ca.shape, cb.shape)], dtype=np.result_type(ca, cb))
     for idx in zip(*np.nonzero(ca)):
         out[tuple(slice(i, i + s) for i, s in zip(idx, cb.shape))] += ca[idx] * cb
-    return Filter(tuple(oa + ob for oa, ob in zip(a.origin, b.origin)), out)
+    return Filter(origin, out)
 
 
 def weighted_norm(a, p, w):

@@ -388,7 +388,10 @@ def lagrange_kernel_fourier(gen, grid_step=1.0 / 16, K=20):
     rate = _decay_rate(gen)
     N = max(N, 2 * Mf * math.ceil(20 / rate))
     _check_kernel_size(K, N)
-    aliased = gen.aliased(2.0 * np.pi * Mf * np.fft.fftfreq(N), Mf)
+    # a is even in omega and fftfreq's negatives are exact negations: evaluate
+    # it on the half grid and mirror, bit for bit the full-grid values
+    half = gen.aliased(2.0 * np.pi * Mf * np.fft.rfftfreq(N), Mf)
+    aliased = np.concatenate((half, half[-2:0:-1]))
     periodized = np.tile(aliased.reshape(Mf, -1).sum(axis=0), Mf)
     space = np.fft.ifft(aliased / periodized).real * Mf
     return _kernel(M, K, space[np.arange(-K * M, K * M + 1) * (Mf // M) % N], rate)

@@ -159,6 +159,26 @@ class TestExact1D:
         assert len(exc.value.unit_roots) == 2
         assert invert_singular_1d(h, 40).residual < 1e-12
 
+    @given(st.integers(0, 24), st.integers(0, 6), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    @example(24, 0, 0)
+    @example(0, 0, 0)
+    @example(3, 4, 1)
+    def test_groups_match_the_closure_reference(self, n, clustered, seed):
+        # some roots get 1-3 companions within 1e-4 (one group), the rest
+        # stay apart; groups and their members keep the closure's order
+        rng = np.random.default_rng(seed)
+        roots = list(rng.uniform(-2, 2, n) + 1j * rng.uniform(-2, 2, n))
+        for r in roots[:clustered]:
+            roots += list(r + 1e-4 * (rng.standard_normal(rng.integers(1, 4)) + 1j * rng.standard_normal(1)))
+        roots = rng.permutation(np.asarray(roots, dtype=complex))
+        near = np.abs(roots[:, None] - roots[None, :]) < inversion.ROOT_GROUP_GAP
+        for _ in range(len(roots).bit_length()):
+            near = near @ near
+        want = [roots[row] for row in np.unique(near, axis=0)]
+        got = inversion._groups(roots)
+        assert [g.tobytes() for g in got] == [g.tobytes() for g in want]
+
     def test_2d_rejected(self):
         with pytest.raises(ValueError):
             invert_exact_1d(Filter((0, 0), np.ones((2, 2))))

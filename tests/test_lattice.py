@@ -119,6 +119,25 @@ class TestConvolve:
         rhs = convolve(a, convolve(b, c))
         assert sup_difference(lhs, rhs) < 1e-10
 
+    @given(st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_long_1d_operands_match_loop_over_pairs(self, data):
+        # 1-D goes through np.convolve; either operand may be the longer,
+        # and real, complex and mixed pairs all occur
+        a = data.draw(long_1d_filters())
+        b = data.draw(long_1d_filters())
+        assert convolve(a, b) == convolve_reference(a, b)
+        assert convolve(b, a) == convolve_reference(a, b)
+
+    def test_long_1d_float_operands_agree_to_roundoff(self):
+        rng = np.random.default_rng(5)
+        a = Filter((-17,), rng.standard_normal(300))
+        b = Filter((4,), rng.standard_normal(233) + 1j * rng.standard_normal(233))
+        got, want = convolve(a, b), convolve_reference(a, b)
+        assert got.origin == want.origin == (-13,)
+        bound = 1e-13 * np.sum(np.abs(a.coeffs)) * np.sum(np.abs(b.coeffs))
+        assert sup_difference(got, want) <= bound
+
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
             convolve(kronecker(1), kronecker(2))
@@ -143,6 +162,18 @@ def filters(draw, dim=None, integer=False, reach=40):
     if draw(st.booleans()):
         c = c + 1j * part()
     return Filter(origin, c)
+
+
+@st.composite
+def long_1d_filters(draw):
+    """Random 1-D filter of 1..300 integer-valued taps in -3..3, origin
+    within +-40, real or complex."""
+    n = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c = rng.integers(-3, 4, n).astype(float)
+    if draw(st.booleans()):
+        c = c + 1j * rng.integers(-3, 4, n)
+    return Filter((draw(st.integers(-40, 40)),), c)
 
 
 def boxes(dim):

@@ -508,6 +508,27 @@ class TestLagrangeKernelFourier:
                 kf = lagrange_kernel_fourier(gen, grid_step=step, K=20)
                 np.testing.assert_allclose(kf.integer_samples, want, rtol=0, atol=1e-15, err_msg=f"{gen.params} {step}")
 
+    @pytest.mark.parametrize("K", [5, 20, 40])
+    def test_half_grid_alias_sum_is_the_full_grid_one(self, K):
+        # the alias sum taken on the full fftfreq grid, its negative half
+        # included: the mirrored half grid must give the same bytes
+        def full_grid_samples(gen, step):
+            M = splines._grid_points(step)
+            Mf = M if M % 2 == 0 else 2 * M
+            rate = splines._decay_rate(gen)
+            N = max(2 * Mf * max(4 * K, 64), 2 * Mf * math.ceil(20 / rate))
+            aliased = gen.aliased(2.0 * np.pi * Mf * np.fft.fftfreq(N), Mf)
+            periodized = np.tile(aliased.reshape(Mf, -1).sum(axis=0), Mf)
+            space = np.fft.ifft(aliased / periodized).real * Mf
+            return space[np.arange(-K * M, K * M + 1) * (Mf // M) % N]
+
+        gens = [bspline_generator(n) for n in range(12)] + [green_power_generator(p) for p in range(2, 21, 2)]
+        for gen in gens:
+            for step in (1 / 2, 1 / 3, 1 / 5, 1 / 8, 1 / 16, 1 / 7):
+                want = full_grid_samples(gen, step)
+                got = lagrange_kernel_fourier(gen, grid_step=step, K=K).samples
+                assert got.tobytes() == want.tobytes(), f"{gen.params} {step}"
+
     def test_green_power_2_is_the_hat(self):
         # D^2's Green kernel interpolant is the degree-1 B-spline
         kf = lagrange_kernel_fourier(green_power_generator(2))

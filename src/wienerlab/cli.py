@@ -98,16 +98,6 @@ def _load_json(arg, parse):
     return parse(arg)
 
 
-def _certificate_json(cert):
-    return {
-        "grid_size": cert.grid_size,
-        "grid_min": cert.grid_min,
-        "certified_lower_bound": cert.certified_lower_bound,
-        "argmin": list(cert.argmin),
-        "status": cert.status,
-    }
-
-
 def _decay_json(report):
     return {
         "model": report.model,
@@ -123,11 +113,11 @@ def _cmd_invert(args):
     h = _load_json(args.filter, filter_from_json)
     cert = min_modulus_certified(h)
     g, residual = _invert_stable(h, args.tol, args.radius, cert)
-    report = {
-        "residual": residual,
-        "certificate": _certificate_json(cert),
-        "decay": _decay_json(decay_fit(g)),
-    }
+    try:
+        decay = _decay_json(decay_fit(g))
+    except ValueError:  # a window too short to fit; the inverse itself is verified
+        decay = None
+    report = {"residual": residual, "certificate": vars(cert), "decay": decay}
     _write_json(args.out, filter_to_json(g))
     _write_json(_sidecar_path(args.out), report)
     return 0
@@ -151,23 +141,14 @@ def _cmd_invert_singular(args):
 def _cmd_grs_check(args):
     w = _load_json(args.weight, weight_from_json)
     k = [int(x) for x in args.k.split(",")]
-    est = grs_limit(w, k, args.m_max)
-    _write_json(
-        args.out,
-        {
-            "direction": list(est.direction),
-            "samples": [[m, v] for m, v in est.samples],
-            "extrapolated_limit": est.extrapolated_limit,
-            "verdict": est.verdict,
-        },
-    )
+    _write_json(args.out, vars(grs_limit(w, k, args.m_max)))
     return 0
 
 
 def _cmd_symbol_min(args):
     h = _load_json(args.filter, filter_from_json)
     cert = min_modulus_certified(h, target_gap=args.target_gap)
-    _write_json(args.out, _certificate_json(cert))
+    _write_json(args.out, vars(cert))
     return 0
 
 
@@ -219,17 +200,7 @@ def _cmd_reproduce(args):
 
 def _cmd_decay_fit(args):
     g = _load_json(args.filter, filter_from_json)
-    report = decay_fit(g)
-    _write_json(
-        args.out,
-        {
-            "model": report.model,
-            "rate": report.rate,
-            "order": report.order,
-            "fit_constant": report.fit_constant,
-            "residual_rms": report.residual_rms,
-        },
-    )
+    _write_json(args.out, vars(decay_fit(g)))
     return 0
 
 
@@ -336,7 +307,7 @@ def main(argv=None):
             diag["best_residual"] = best
         cert = getattr(exc, "certificate", None)
         if cert is not None:
-            diag["certificate"] = _certificate_json(cert)
+            diag["certificate"] = vars(cert)
         sys.stderr.write(_json_text(diag) + "\n")
         return 2
     except (ValueError, OSError, json.JSONDecodeError) as exc:

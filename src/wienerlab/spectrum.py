@@ -184,8 +184,8 @@ def derivative_growth(h, n_max):
         raise ValueError("derivative_growth is defined for d=1 only")
     if not np.any(h.coeffs):
         raise ValueError("filter is identically zero")
-    if n_max > 60:
-        raise ValueError("n_max must be <= 60")
+    if not 0 <= n_max <= 60:
+        raise ValueError(f"n_max must be in [0, 60], got {n_max}")
     # D_n = k_max^n sum_k |h[k]| (|k| / k_max)^n: no term exceeds |h[k]|, and 0^0 = 1
     abs_k = np.abs(h.indices().ravel().astype(float))
     k_max = max(abs_k.max(), 1.0)

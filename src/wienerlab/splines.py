@@ -137,9 +137,15 @@ def bspline_grid(degree, grid_step):
 
 
 def bspline_samples(degree, d=1):
-    """Integer samples of the centered tensor-product B-spline."""
+    """Integer samples of the centered tensor-product B-spline; ValueError
+    outside 1 <= d <= 64 (an ndarray's most axes) or past GRID_POINT_CAP
+    samples, before allocating."""
     n = _degree(degree)
     k0 = n // 2
+    if not 1 <= d <= 64:
+        raise ValueError(f"d must be in [1, 64], got {d}")
+    if (2 * k0 + 1) ** d > GRID_POINT_CAP:
+        raise ValueError(f"{2 * k0 + 1}^{d} B-spline samples exceed {GRID_POINT_CAP} points")
     line = np.array([_bspline_at(n, k, 1) for k in range(-k0, k0 + 1)])
     return Filter((-k0,) * d, reduce(np.multiply.outer, [line] * d))
 
@@ -422,8 +428,10 @@ def reproduction_check(p, kernel, target, xs, K_sum, tol=1e-9):
     p: callable k -> value (vectorized over an int array). A tail
     estimate from the kernel's decay report, |phi_int(x)| <= C e^{-a |x|},
     is computed first; if it exceeds tol the sum cannot certify the
-    identity and an error is raised. ValueError unless tol >= 0, K_sum >= 0
-    and xs is non-empty and finite.
+    identity and an error is raised. The bound covers only |k| > K_sum, so
+    the kernel must hold every x - k it sums: ValueError unless
+    kernel.integer_range >= max|x| + K_sum, tol >= 0, K_sum >= 0 and xs is
+    non-empty and finite.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     if not tol >= 0:  # NaN too: no tail estimate would ever exceed it
@@ -432,6 +440,12 @@ def reproduction_check(p, kernel, target, xs, K_sum, tol=1e-9):
         raise ValueError(f"K_sum must be >= 0, got {K_sum}")
     if xs.size == 0 or not np.all(np.isfinite(xs)):
         raise ValueError("xs must be non-empty and finite")
+    x_max = float(np.max(np.abs(xs)))
+    if kernel.integer_range < x_max + K_sum:
+        raise ValueError(
+            f"kernel integer_range {kernel.integer_range} < max|x| + K_sum = {x_max + K_sum:g}: "
+            "evaluate is 0 past it, a cut the tail bound does not cover"
+        )
     ks = np.arange(-K_sum, K_sum + 1)
     if xs.size * ks.size > GRID_POINT_CAP:
         raise ValueError(f"reproduction grid of {xs.size} x {ks.size} points exceeds {GRID_POINT_CAP} points")
@@ -440,7 +454,6 @@ def reproduction_check(p, kernel, target, xs, K_sum, tol=1e-9):
     decay = kernel.decay
     if decay.model != "exponential" or decay.rate <= 0:
         raise ValueError("reproduction needs a kernel with exponential decay")
-    x_max = float(np.max(np.abs(xs)))
     edge = np.max(np.abs(pk[[0, -1]])) + 1.0
     tail = (
         2.0

@@ -15,6 +15,9 @@ CUBIC = json.dumps(
     {"dim": 1, "origin": [-1], "shape": [3], "coeffs": [1 / 6, 4 / 6, 1 / 6]}
 )
 _LINE = np.array([1.0, 4.0, 1.0]) / 6.0
+CUBIC_2D = json.dumps(
+    {"dim": 2, "origin": [-1] * 2, "shape": [3] * 2, "coeffs": np.outer(_LINE, _LINE).ravel().tolist()}
+)
 CUBIC_4D = json.dumps(
     {"dim": 4, "origin": [-1] * 4, "shape": [3] * 4,
      "coeffs": np.einsum("i,j,k,l->ijkl", _LINE, _LINE, _LINE, _LINE).ravel().tolist()}
@@ -95,6 +98,18 @@ class TestInvert:
         with pytest.raises(SystemExit) as exc:
             main(["invert", "--no-such-flag"])
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize("filt, radius, taps", [(CUBIC, 5, 11), (CUBIC_2D, 1, 9)], ids=["1d-radius-5", "2d-radius-1"])
+    def test_short_window_writes_inverse_with_null_decay(self, filt, radius, taps, tmp_path, capsys):
+        # too few taps to fit a decay model: the verified inverse is still written
+        out = tmp_path / "g.json"
+        code, _, err = run(capsys, "invert", "--filter", filt, "--radius", str(radius), "--out", str(out))
+        assert code == 0, err
+        assert filter_from_json(out.read_text()).coeffs.size == taps
+        report = json.loads((tmp_path / "g.report.json").read_text())
+        assert report["residual"] <= 1e-10
+        assert report["certificate"]["status"] == "certified"
+        assert report["decay"] is None
 
     def test_4d_tensor_cubic(self, tmp_path, capsys):
         # certified axis by axis at N = 64; radius 4 starts on a 16^4 grid

@@ -453,11 +453,12 @@ class TestToeplitzOracle:
         assert len(calls) < 9
         assert np.max(np.abs(g.coeffs - invert_exact_1d(cubic()).evaluate(np.arange(-134, 135)))) < 1e-12
 
+    @pytest.mark.parametrize("complex_roots", [False, True], ids=["real", "complex"])
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=10, deadline=None)
-    def test_three_routes_agree(self, seed):
+    def test_three_routes_agree(self, complex_roots, seed):
         rng = np.random.default_rng(seed)
-        h = stable_filter(rng, int(rng.integers(1, 7)))
+        h = stable_filter(rng, int(rng.integers(1, 7)), complex_roots=complex_roots)
         g = invert_stable(h, 1e-10, 120)
         go = toeplitz_oracle(h, 90)
         ev = invert_exact_1d(h).evaluate(np.arange(-30, 31))

@@ -259,6 +259,11 @@ class TestDerivativeGrowth:
         with pytest.raises(ValueError):
             derivative_growth(kronecker(2), 10)
 
+    @pytest.mark.parametrize("n_max", [-1, 61])
+    def test_n_max_outside_0_to_60_rejected(self, n_max):
+        with pytest.raises(ValueError, match=f"n_max must be in \\[0, 60\\], got {n_max}"):
+            derivative_growth(kronecker(1), n_max)
+
     @pytest.mark.parametrize(
         "h, n_max",
         [

@@ -295,6 +295,20 @@ class TestBsplineSamples:
         f = bspline_samples(1)
         assert f.origin == (0,) and f.coeffs[0] == 1.0
 
+    @pytest.mark.parametrize("d", [0, -1, 65])
+    def test_dimension_outside_1_to_64_raises(self, d):
+        with pytest.raises(ValueError, match=f"d must be in \\[1, 64\\], got {d}"):
+            bspline_samples(3, d)
+
+    def test_samples_over_the_cap_raise_before_allocating(self, monkeypatch):
+        # degree 3 at d = 17 would be 3^17 points, about 1 GB
+        with pytest.raises(ValueError, match="3\\^17 B-spline samples exceed"):
+            bspline_samples(3, 17)
+        monkeypatch.setattr(splines, "GRID_POINT_CAP", 9)
+        assert bspline_samples(3, 2).coeffs.size == 9
+        with pytest.raises(ValueError, match="3\\^3 B-spline samples exceed 9 points"):
+            bspline_samples(3, 3)
+
 
 # w0 = 0, +-pi and seeded random points of [-pi, pi]
 W0 = np.concatenate([[0.0, np.pi, -np.pi], np.random.default_rng(7).uniform(-np.pi, np.pi, 16)])
@@ -721,6 +735,21 @@ class TestReproduction:
     def test_bad_arguments_raise(self, wide_kernel, xs, K_sum, tol, match):
         with pytest.raises(ValueError, match=match):
             reproduction_check(lambda k: np.abs(k.astype(float)) ** 3, wide_kernel, abs, xs, K_sum=K_sum, tol=tol)
+
+    def test_kernel_narrower_than_the_sum_raises(self):
+        # K = 10 cuts phi_int(x - k) for |x - k| > 10, a cut the tail bound
+        # misses: the sum once passed tol 1e-6 with a residual of 2.5e-3
+        narrow = lagrange_kernel_space(bspline_generator(3), grid_step=1.0 / 16, K=10)
+        xs = np.arange(-5.0, 5.0 + 1e-9, 1.0 / 16)
+
+        def p(k):
+            raise AssertionError("evaluated before the range check")
+
+        with pytest.raises(ValueError, match="integer_range 10 < max\\|x\\| \\+ K_sum = 45"):
+            reproduction_check(p, narrow, abs, xs, K_sum=40, tol=1e-6)
+        exact = lagrange_kernel_space(bspline_generator(3), grid_step=1.0 / 16, K=45)
+        res = reproduction_check(lambda k: np.abs(k.astype(float)) ** 3, exact, lambda x: abs(x) ** 3, xs, K_sum=40, tol=1e-6)
+        assert res["max_residual"] <= 1e-12
 
     def test_tail_bound_enforced(self, wide_kernel):
         xs = np.array([0.5])

@@ -37,7 +37,7 @@ from .errors import (
     ToleranceUnreachableError,
     WrongBranchError,
 )
-from .lattice import GRID_AXIS_CAP, GRID_POINT_CAP, Box, Filter, convolve, kronecker
+from .lattice import GRID_AXIS_CAP, GRID_POINT_CAP, Box, Filter, as_int, convolve, kronecker
 from .spectrum import min_modulus_certified
 
 __all__ = [
@@ -65,6 +65,7 @@ def residual_sup(h, g, radius):
     order: taps(h) x (2 radius + 1)^d multiply-adds in (2 radius +
     shape)^d memory, with no FFT and no full product h*g.
     """
+    radius = as_int(radius, "radius", 0)
     n = 2 * radius + 1
     shape = h.coeffs.shape
     gs = g.on_box(Box([-radius - o - s + 1 for o, s in zip(h.origin, shape)], [n + s - 1 for s in shape]))
@@ -75,17 +76,10 @@ def residual_sup(h, g, radius):
     return float(np.max(np.abs(out)))
 
 
-def _window_radius(window_radius):
-    W = int(window_radius)
-    if W < 0:
-        raise ValueError(f"window_radius must be >= 0, got {W}")
-    return W
-
-
 def _certified_window(h, window_radius, certificate):
-    """_window_radius, then NotInvertibleError unless the given (or a
-    fresh) certificate is certified."""
-    W = _window_radius(window_radius)
+    """The window radius as an int >= 0, then NotInvertibleError unless the
+    given (or a fresh) certificate is certified."""
+    W = as_int(window_radius, "window_radius", 0)
     cert = certificate if certificate is not None else min_modulus_certified(h)
     if cert.status != "certified":
         raise NotInvertibleError(f"symbol not certified invertible (status {cert.status})", cert)
@@ -366,8 +360,7 @@ class ExactInverse1D:
         return out
 
     def to_filter(self, radius):
-        if radius < 0:
-            raise ValueError(f"radius must be >= 0, got {radius}")
+        radius = as_int(radius, "radius", 0)
         ks = np.arange(-radius, radius + 1)
         return Filter((-radius,), self.evaluate(ks))
 
@@ -456,7 +449,7 @@ def invert_singular_1d(h, window_radius, residual_tol=1e-9):
     or a residual_tol that is not >= 0, raises ValueError before any
     coefficient is evaluated.
     """
-    W = _window_radius(window_radius)
+    W = as_int(window_radius, "window_radius", 0)
     if not residual_tol >= 0:  # NaN too: every residual would pass it
         raise ValueError(f"residual_tol must be >= 0, got {residual_tol}")
     inner, unit, outer = _split_roots(h)

@@ -33,6 +33,21 @@ GRID_POINT_CAP = 2**26
 GRID_AXIS_CAP = 2**16
 
 
+def as_int(x, name, lo=None, hi=None):
+    """x as an int, for every integer argument of the library: an int, a numpy
+    integer or a float equal to an integer; ValueError naming the argument for
+    anything else (a bool, 2.5, NaN, a string) or for an int outside [lo, hi]."""
+    if type(x) is not int:  # a plain int skips the type checks
+        integral = isinstance(x, (int, np.integer)) or isinstance(x, (float, np.floating)) and float(x).is_integer()
+        if isinstance(x, bool) or not integral:
+            raise ValueError(f"{name}: expected an integer, got {x!r}")
+        x = int(x)
+    if lo is not None and x < lo or hi is not None and x > hi:
+        bounds = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise ValueError(f"{name} must be {bounds}, got {x}")
+    return x
+
+
 @dataclass(frozen=True)
 class Box:
     """Axis-aligned box of multi-indices: origin <= k < origin + shape."""
@@ -41,14 +56,12 @@ class Box:
     shape: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "origin", tuple(int(x) for x in self.origin))
-        object.__setattr__(self, "shape", tuple(int(x) for x in self.shape))
+        object.__setattr__(self, "origin", tuple(as_int(x, "origin") for x in self.origin))
+        object.__setattr__(self, "shape", tuple(as_int(x, "shape", 1) for x in self.shape))
         if len(self.origin) != len(self.shape):
             raise ValueError("origin and shape must have the same length")
         if len(self.shape) < 1:
             raise ValueError("dimension must be >= 1")
-        if any(s < 1 for s in self.shape):
-            raise ValueError("all shape entries must be >= 1")
 
     @property
     def dim(self):
@@ -64,7 +77,7 @@ class Box:
         return max(max(abs(o), abs(o + s - 1)) for o, s in zip(self.origin, self.shape))
 
     def contains(self, k):
-        k = tuple(int(x) for x in k)
+        k = tuple(as_int(x, "k") for x in k)
         return all(o <= x < o + s for o, x, s in zip(self.origin, k, self.shape))
 
     def indices(self):
@@ -89,7 +102,7 @@ class Filter:
         coeffs = np.asarray(coeffs)
         if coeffs.dtype.kind not in "fc":
             coeffs = coeffs.astype(float)
-        origin = tuple(int(x) for x in origin)
+        origin = tuple(as_int(x, "origin") for x in origin)
         if coeffs.ndim != len(origin):
             raise ValueError(
                 f"coeffs ndim {coeffs.ndim} does not match origin length {len(origin)}"
@@ -120,7 +133,7 @@ class Filter:
 
     def coeff_at(self, k):
         """h[k]; zero outside the support box."""
-        k = tuple(int(x) for x in np.atleast_1d(k))
+        k = tuple(as_int(x, "k") for x in np.atleast_1d(k).tolist())
         if not self.support.contains(k):
             return 0.0
         idx = tuple(x - o for x, o in zip(k, self.origin))
@@ -148,6 +161,7 @@ class Filter:
         order. The grid keeps the filter's dtype. Raises ValueError
         before allocating when N^d exceeds GRID_POINT_CAP.
         """
+        N = as_int(N, "N", 1)
         if N**self.dim > GRID_POINT_CAP:
             raise ValueError(f"grid {N}^{self.dim} exceeds {GRID_POINT_CAP} points")
         grid = np.zeros((N,) * self.dim, dtype=self.coeffs.dtype)
@@ -202,14 +216,14 @@ def _trim(origin, coeffs):
 
 def kronecker(d):
     """Kronecker delta on Z^d: the neutral element of convolution."""
-    if d < 1:
-        raise ValueError(f"invalid dimension {d}; need d >= 1")
+    d = as_int(d, "d", 1)
     return Filter((0,) * d, np.ones((1,) * d))
 
 
 def delta_shift(d, k):
     """Shifted impulse delta[. - k]."""
-    k = tuple(int(x) for x in np.atleast_1d(k))
+    d = as_int(d, "d", 1)
+    k = tuple(as_int(x, "k") for x in np.atleast_1d(k).tolist())
     if len(k) != d:
         raise ValueError("shift length must equal dimension")
     return Filter(k, np.ones((1,) * d))
@@ -284,22 +298,15 @@ def filter_to_json(a):
     }
 
 
-def json_int(x):
-    """A JSON integer (2 or 2.0) as an int; TypeError (malformed JSON) otherwise."""
-    if isinstance(x, bool) or not (isinstance(x, int) or isinstance(x, float) and x.is_integer()):
-        raise TypeError(f"expected an integer, got {x!r}")
-    return int(x)
-
-
 def filter_from_json(obj):
     if isinstance(obj, str):
         obj = json.loads(obj)
     try:
-        dim = json_int(obj["dim"])
-        origin = [json_int(x) for x in obj["origin"]]
-        shape = [json_int(x) for x in obj["shape"]]
+        dim = as_int(obj["dim"], "dim")
+        origin = [as_int(x, "origin") for x in obj["origin"]]
+        shape = [as_int(x, "shape") for x in obj["shape"]]
         coeffs = np.asarray(obj["coeffs"], dtype=float)
-    except (KeyError, TypeError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed Filter JSON: {exc}") from exc
     if len(origin) != dim or len(shape) != dim:
         raise ValueError("origin/shape length does not match dim")

@@ -18,7 +18,7 @@ from functools import reduce
 
 import numpy as np
 
-from .lattice import GRID_AXIS_CAP, GRID_POINT_CAP, Filter
+from .lattice import GRID_AXIS_CAP, GRID_POINT_CAP, Filter, as_int
 
 __all__ = [
     "symbol_eval",
@@ -184,8 +184,7 @@ def derivative_growth(h, n_max):
         raise ValueError("derivative_growth is defined for d=1 only")
     if not np.any(h.coeffs):
         raise ValueError("filter is identically zero")
-    if not 0 <= n_max <= 60:
-        raise ValueError(f"n_max must be in [0, 60], got {n_max}")
+    n_max = as_int(n_max, "n_max", 0, 60)
     # D_n = k_max^n sum_k |h[k]| (|k| / k_max)^n: no term exceeds |h[k]|, and 0^0 = 1
     abs_k = np.abs(h.indices().ravel().astype(float))
     k_max = max(abs_k.max(), 1.0)
@@ -228,8 +227,7 @@ def lemma_bound_check(c, n_max):
     """
     if not 0 < c < np.inf:
         raise ValueError(f"c must be finite and > 0, got {c}")
-    if not 0 <= n_max <= 60:
-        raise ValueError(f"n_max must be in [0, 60], got {n_max}")
+    n_max = as_int(n_max, "n_max", 0, 60)
     ns = np.arange(n_max + 1)
     # A[n, m] = (m + 1) A[n-1, m] + (n - m) A[n-1, m-1], from A[n, 0] = 1
     A = np.zeros((n_max + 1, n_max + 1))

@@ -34,7 +34,7 @@ from .errors import TailBoundError
 from .inversion import DecayReport, invert_exact_1d
 # re-exported only for the install check at bench/test_bench.py:132, which ROADMAP item 0 moves
 from .inversion import invert_stable  # noqa: F401
-from .lattice import GRID_POINT_CAP, Filter, convolve, json_int
+from .lattice import GRID_POINT_CAP, Filter, as_int, convolve
 
 __all__ = [
     "bspline_value",
@@ -64,10 +64,7 @@ _CSV_BLOCK_ROWS = 2**14  # kernel_to_csv formats this many rows per write, about
 
 
 def _degree(degree):
-    n = int(degree)
-    if not 0 <= n <= MAX_BSPLINE_DEGREE:
-        raise ValueError(f"degree must be in [0, {MAX_BSPLINE_DEGREE}]")
-    return n
+    return as_int(degree, "degree", 0, MAX_BSPLINE_DEGREE)
 
 
 def _grid_points(grid_step):
@@ -79,9 +76,7 @@ def _grid_points(grid_step):
     return M
 
 
-def _check_kernel_size(K, points):
-    if K < 0:
-        raise ValueError(f"K must be >= 0, got {K}")
+def _check_kernel_size(points):
     if points > GRID_POINT_CAP:
         raise ValueError(f"kernel grid of {points} points exceeds {GRID_POINT_CAP} points")
 
@@ -104,9 +99,13 @@ def bspline_value(degree, x):
     """Centered B-spline of the given degree at x, evaluated exactly.
 
     A float is a dyadic rational j/M, so the integer truncated-power sum
-    is exact and the result is correctly rounded.
+    is exact and the result is correctly rounded; 0 at +-inf, where the
+    compact support has long ended, and ValueError at NaN.
     """
-    return _bspline_at(_degree(degree), *float(x).as_integer_ratio())
+    n, x = _degree(degree), float(x)
+    if math.isnan(x):
+        raise ValueError("x must be a number, got nan")
+    return _bspline_at(n, *x.as_integer_ratio()) if math.isfinite(x) else 0.0
 
 
 def _half_grid(n, M):
@@ -140,10 +139,8 @@ def bspline_samples(degree, d=1):
     """Integer samples of the centered tensor-product B-spline; ValueError
     outside 1 <= d <= 64 (an ndarray's most axes) or past GRID_POINT_CAP
     samples, before allocating."""
-    n = _degree(degree)
+    n, d = _degree(degree), as_int(d, "d", 1, 64)
     k0 = n // 2
-    if not 1 <= d <= 64:
-        raise ValueError(f"d must be in [1, 64], got {d}")
     if (2 * k0 + 1) ** d > GRID_POINT_CAP:
         raise ValueError(f"{2 * k0 + 1}^{d} B-spline samples exceed {GRID_POINT_CAP} points")
     line = np.array([_bspline_at(n, k, 1) for k in range(-k0, k0 + 1)])
@@ -245,23 +242,19 @@ def _decay_rate(gen):
 
 @dataclass
 class Generator:
-    """Shift-invariant-space generator: its symbol and a closed-form alias sum
-    of it, times |w0|^p (p the symbol's pole order at 0, w0 = w mod 2 pi)."""
+    """Shift-invariant-space generator: a closed-form alias sum of its symbol
+    phihat, times |w0|^p (p the symbol's pole order at 0, w0 = w mod 2 pi)."""
 
     kind: str
     params: dict
-    symbol_eval: object  # omega -> phihat(omega), vectorized
     aliased: object  # (w, Mf) -> |w0|^p sum_m phihat(w + 2 pi Mf m); Mf even, |w| <= pi Mf
+    # read only by bench/tracer.py, which skips None; ROADMAP item 0 drops both
+    symbol_eval: object = None
 
 
 def bspline_generator(degree):
     n = _degree(degree)
     p = n + 1
-
-    def symbol(omega):
-        # sinc^{n+1} form of the centered B-spline transform
-        omega = np.asarray(omega, dtype=float)
-        return np.sinc(omega / (2.0 * np.pi)) ** p
 
     def aliased(omega, Mf):
         # Mf even: sin(w/2 + pi Mf m) = sin(w/2), so with y = w / 2 pi Mf the
@@ -269,19 +262,14 @@ def bspline_generator(degree):
         y = np.asarray(omega, dtype=float) / (2.0 * np.pi * Mf)
         return (np.sinc(Mf * y) / np.sinc(y)) ** p * _lattice_sum(y, p)
 
-    return Generator("bspline", {"degree": n}, symbol, aliased)
+    return Generator("bspline", {"degree": n}, aliased)
 
 
 def green_power_generator(order=4):
     """Green's-function generator for L = D^order: phihat = 1/|omega|^order."""
-    p = int(order)
+    p = as_int(order, "order")
     if not 2 <= p <= MAX_GREEN_ORDER or p % 2:
         raise ValueError(f"order must be an even integer in [2, {MAX_GREEN_ORDER}]")
-
-    def symbol(omega):
-        omega = np.asarray(omega, dtype=float)
-        with np.errstate(divide="ignore"):
-            return np.abs(omega) ** (-float(p))
 
     def aliased(omega, Mf):
         # |w0|^p sum_m |w + 2 pi Mf m|^-p = (r / sinc(y))^p F_p(y) with
@@ -292,7 +280,7 @@ def green_power_generator(order=4):
         y = omega / (2.0 * np.pi * Mf)
         return (r / np.sinc(y)) ** p * _lattice_sum(y, p)
 
-    return Generator("green_power", {"order": p}, symbol, aliased)
+    return Generator("green_power", {"order": p}, aliased)
 
 
 def generator_from_json(obj):
@@ -303,12 +291,14 @@ def generator_from_json(obj):
         kind = obj.get("kind")
         params = obj.get("params", {})
         if kind == "bspline":
-            return bspline_generator(json_int(params["degree"]))
-        if kind == "green_power":
-            return green_power_generator(json_int(params.get("order", 4)))
-    except (KeyError, TypeError, AttributeError, OverflowError) as exc:
+            build, arg = bspline_generator, as_int(params["degree"], "degree")
+        elif kind == "green_power":
+            build, arg = green_power_generator, as_int(params.get("order", 4), "order")
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise ValueError(f"malformed Generator JSON: {exc}") from exc
-    raise ValueError(f"unknown generator kind {kind!r}")
+    if kind not in ("bspline", "green_power"):
+        raise ValueError(f"unknown generator kind {kind!r}")
+    return build(arg)
 
 
 @dataclass
@@ -331,9 +321,10 @@ class LagrangeKernel:
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         lo = self.positions[0]
         idx = (xs - lo) / self.grid_step
-        near = np.rint(idx)
         out = np.zeros_like(xs)
         inside = (idx > -1e-9) & (idx < len(self.samples) - 1 + 1e-9)
+        idx[~inside] = 0.0  # unread; at +-inf, idx - rint(idx) would be inf - inf
+        near = np.rint(idx)
         on_grid = inside & (np.abs(idx - near) < 1e-9)
         out[on_grid] = self.samples[near[on_grid].astype(int)]
         off = inside & ~on_grid  # so 0 < idx < len - 1
@@ -365,11 +356,11 @@ def lagrange_kernel_space(gen, grid_step=1.0 / 16, K=20):
     if gen.kind != "bspline":
         raise ValueError("space route needs a B-spline generator")
     degree = gen.params["degree"]
-    M = _grid_points(grid_step)
+    M, K = _grid_points(grid_step), as_int(K, "K", 0)
     r = K + (degree + 1) // 2
     width = 2 * r * M + 1
     # phi's grid has (degree + 1) M + 3 points
-    _check_kernel_size(K, width + (degree + 1) * M + 2)
+    _check_kernel_size(width + (degree + 1) * M + 2)
     upsampled = np.zeros(width)
     upsampled[::M] = _bspline_taps(degree, r)
     # both factors are centred on x = 0, so the middle sample is phi_int(0)
@@ -387,13 +378,13 @@ def lagrange_kernel_fourier(gen, grid_step=1.0 / 16, K=20):
     mod 2 pi: exact up to aliasing in x at distance N / Mf, delta at the integers.
     That distance is at least 40 / rate, so the aliases fall below roundoff.
     """
-    M = _grid_points(grid_step)
+    M, K = _grid_points(grid_step), as_int(K, "K", 0)
     Mf = M if M % 2 == 0 else 2 * M  # the alias sums need an even Mf
     N = 2 * Mf * max(4 * K, 64)  # a shift by 2 pi is N / Mf grid points, an integer
-    _check_kernel_size(K, N)  # before the rate's constants are built, and again on its grid
+    _check_kernel_size(N)  # before the rate's constants are built, and again on its grid
     rate = _decay_rate(gen)
     N = max(N, 2 * Mf * math.ceil(20 / rate))
-    _check_kernel_size(K, N)
+    _check_kernel_size(N)
     # a is even in omega and fftfreq's negatives are exact negations: evaluate
     # it on the half grid and mirror, bit for bit the full-grid values
     half = gen.aliased(2.0 * np.pi * Mf * np.fft.rfftfreq(N), Mf)
@@ -430,14 +421,13 @@ def reproduction_check(p, kernel, target, xs, K_sum, tol=1e-9):
     is computed first; if it exceeds tol the sum cannot certify the
     identity and an error is raised. The bound covers only |k| > K_sum, so
     the kernel must hold every x - k it sums: ValueError unless
-    kernel.integer_range >= max|x| + K_sum, tol >= 0, K_sum >= 0 and xs is
-    non-empty and finite.
+    kernel.integer_range >= max|x| + K_sum, tol >= 0, K_sum is an integer
+    >= 0 and xs is non-empty and finite.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     if not tol >= 0:  # NaN too: no tail estimate would ever exceed it
         raise ValueError(f"tol must be >= 0, got {tol}")
-    if K_sum < 0:
-        raise ValueError(f"K_sum must be >= 0, got {K_sum}")
+    K_sum = as_int(K_sum, "K_sum", 0)
     if xs.size == 0 or not np.all(np.isfinite(xs)):
         raise ValueError("xs must be non-empty and finite")
     x_max = float(np.max(np.abs(xs)))
@@ -478,6 +468,7 @@ def amalgam_norm(f, w, K=40):
     f: callable over float arrays (d = 1). The sup is taken over the
     offsets in AMALGAM_OFFSETS, the step-1/16 grid of [0, 1).
     """
+    K = as_int(K, "K", 0)
     ks = np.arange(-K, K + 1).astype(float)
     wv = w.eval(ks[:, None])
     return max(float(np.dot(np.abs(np.asarray(f(x0 + ks), dtype=float)), wv)) for x0 in AMALGAM_OFFSETS)

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -8,16 +10,33 @@ from hypothesis import strategies as st
 from wienerlab import (
     Box,
     Filter,
+    amalgam_norm,
+    bspline_generator,
+    bspline_samples,
+    bspline_value,
     convolve,
     delta_shift,
+    derivative_growth,
     filter_from_json,
     filter_to_json,
+    green_power_generator,
+    grs_limit,
+    invert_exact_1d,
+    invert_singular_1d,
+    invert_stable,
     kronecker,
+    lagrange_kernel_fourier,
+    lagrange_kernel_space,
+    lemma_bound_check,
     polynomial_weight,
+    reproduction_check,
     residual_sup,
     sup_difference,
+    toeplitz_oracle,
     weighted_norm,
 )
+from wienerlab.lattice import as_int
+from wienerlab.splines import bspline_grid
 
 
 def rand_filter(rng, dim, max_side=5):
@@ -306,3 +325,123 @@ class TestJson:
     def test_coeff_length_checked(self):
         with pytest.raises(ValueError):
             filter_from_json({"dim": 1, "origin": [0], "shape": [3], "coeffs": [1.0]})
+
+
+# -- integer arguments ---------------------------------------------------------
+
+STABLE = Filter((0,), [4.0, 1.0])
+STEP = Filter((0,), [1.0, -1.0])  # a unit zero at z = 1
+CUBIC = bspline_generator(3)
+W1 = polynomial_weight(1)
+
+
+def _generator(gen):
+    return gen.kind, gen.params, gen.aliased(np.linspace(-np.pi, np.pi, 9), 8)
+
+
+def _weight(w):
+    return w, w.log_eval(np.ones((2, w.dim)))
+
+
+def _reproduce_ones(K_sum):
+    kernel = lagrange_kernel_space(CUBIC, 0.25, 16)
+    return reproduction_check(lambda ks: np.ones(ks.shape), kernel, lambda x: 1.0, [0.0, 0.5], K_sum, tol=1e-3)
+
+
+# (id, argument name, call of one integer argument, a valid value, values that
+# used to be truncated or summed at half-integer shifts without complaint)
+INTEGER_ARGUMENTS = [
+    ("Box-origin", "origin", lambda v: Box((v,), (2,)), 3),
+    ("Box-shape", "shape", lambda v: Box((0,), (v,)), 3, 2.7),
+    ("Box-contains", "k", lambda v: Box((0,), (5,)).contains((v,)), 3),
+    ("Filter-origin", "origin", lambda v: Filter((v,), [1.0, 2.0]), 3, -0.5),
+    ("coeff_at", "k", lambda v: Filter((0,), np.arange(1.0, 6.0)).coeff_at(v), 3, 0.9),
+    ("on_torus", "N", lambda v: STABLE.on_torus(v), 3),
+    ("kronecker", "d", kronecker, 3),
+    ("delta_shift-d", "d", lambda v: delta_shift(v, (1, 2, 3)), 3),
+    ("delta_shift-k", "k", lambda v: delta_shift(1, v), 3),
+    ("invert_stable", "window_radius", lambda v: invert_stable(STABLE, window_radius=v), 3, 2.7),
+    ("toeplitz_oracle", "window_radius", lambda v: toeplitz_oracle(STABLE, v), 3),
+    ("invert_singular_1d", "window_radius", lambda v: invert_singular_1d(STEP, v), 3),
+    ("to_filter", "radius", lambda v: invert_exact_1d(STABLE).to_filter(v), 3),
+    ("residual_sup", "radius", lambda v: residual_sup(STABLE, invert_exact_1d(STABLE).to_filter(8), v), 3),
+    ("derivative_growth", "n_max", lambda v: derivative_growth(STABLE, v), 3),
+    ("lemma_bound_check", "n_max", lambda v: lemma_bound_check(0.7, v), 3),
+    ("bspline_value", "degree", lambda v: bspline_value(v, 0.3), 3),
+    ("bspline_samples-degree", "degree", bspline_samples, 3),
+    ("bspline_samples-d", "d", lambda v: bspline_samples(3, v), 3),
+    ("bspline_grid", "degree", lambda v: bspline_grid(v, 0.25), 3),
+    ("bspline_generator", "degree", lambda v: _generator(bspline_generator(v)), 3, 3.7),
+    ("green_power_generator", "order", lambda v: _generator(green_power_generator(v)), 4, 4.5),
+    ("lagrange_kernel_space", "K", lambda v: lagrange_kernel_space(CUBIC, 0.25, v), 3),
+    ("lagrange_kernel_fourier", "K", lambda v: lagrange_kernel_fourier(CUBIC, 0.25, v), 3),
+    ("reproduction_check", "K_sum", _reproduce_ones, 12),
+    ("amalgam_norm", "K", lambda v: amalgam_norm(lambda x: np.exp(-np.abs(x)), W1, K=v), 3),
+    ("Weight-dim", "weight dim", lambda v: _weight(polynomial_weight(1, dim=v)), 3),
+    ("grs_limit-direction", "direction k", lambda v: grs_limit(W1, [v], 64), 3, 1.5),
+    ("grs_limit-m_max", "m_max", lambda v: grs_limit(W1, [1], v), 16, 16.9),
+]
+
+
+def _fingerprint(x):
+    """x's types and bytes, recursively through containers, filters and
+    dataclasses (whose callables are left out): equal fingerprints mean
+    byte-identical outputs."""
+    if isinstance(x, Filter):
+        return "Filter", _fingerprint(x.origin), _fingerprint(x.coeffs)
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.shape, x.tobytes()
+    if dataclasses.is_dataclass(x):
+        values = [getattr(x, f.name) for f in dataclasses.fields(x)]
+        return type(x).__name__, [_fingerprint(v) for v in values if not callable(v)]
+    if isinstance(x, dict):
+        return [(k, _fingerprint(v)) for k, v in x.items()]
+    if isinstance(x, (list, tuple)):
+        return type(x).__name__, [_fingerprint(v) for v in x]
+    return type(x).__name__, repr(x)
+
+
+class TestIntegerArguments:
+    @pytest.mark.parametrize(
+        "name, call, bad",
+        [
+            pytest.param(name, call, bad, id=f"{case}-{bad!r}")
+            for case, name, call, _, *truncated in INTEGER_ARGUMENTS
+            for bad in (2.5, True, *truncated)
+        ],
+    )
+    def test_non_integer_raises_naming_the_argument(self, name, call, bad):
+        with pytest.raises(ValueError, match=f"^{re.escape(name)}: expected an integer, got {re.escape(repr(bad))}$"):
+            call(bad)
+
+    @pytest.mark.parametrize("convert", [float, np.int64])
+    @pytest.mark.parametrize("call, value", [pytest.param(c[2], c[3], id=c[0]) for c in INTEGER_ARGUMENTS])
+    def test_integer_valued_forms_give_identical_output(self, call, value, convert):
+        assert _fingerprint(call(convert(value))) == _fingerprint(call(value))
+
+    def test_reproduction_sum_refuses_half_integer_shifts(self):
+        # K_sum = 40.5 once summed over k + 1/2 and returned a residual of 0.066
+        kernel = lagrange_kernel_space(CUBIC, 1.0 / 16, 50)
+        xs = np.arange(-5.0, 5.0 + 1e-9, 1.0 / 16)
+
+        def check(K_sum):
+            return reproduction_check(
+                lambda ks: np.where(ks >= 0, ks.astype(float) ** 3, 0.0), kernel, lambda x: max(x, 0.0) ** 3, xs, K_sum
+            )
+
+        assert check(40)["max_residual"] < 1e-12
+        assert _fingerprint(check(40.0)) == _fingerprint(check(40))
+        with pytest.raises(ValueError, match="K_sum: expected an integer, got 40.5"):
+            check(40.5)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, "3", None, np.bool_(True), 3 + 0j])
+    def test_other_values_raise(self, value):
+        with pytest.raises(ValueError, match="^n: expected an integer"):
+            as_int(value, "n")
+
+    def test_range_messages(self):
+        assert as_int(2**70, "n", 0) == 2**70
+        with pytest.raises(ValueError, match=r"^n must be >= 0, got -1$"):
+            as_int(-1.0, "n", 0)
+        with pytest.raises(ValueError, match=r"^n must be in \[0, 60\], got 61$"):
+            as_int(np.int8(61), "n", 0, 60)

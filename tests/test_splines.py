@@ -108,6 +108,15 @@ class TestBsplineValue:
                 with pytest.raises(ValueError, match="degree"):
                     build(degree)
 
+    @pytest.mark.parametrize("x", [np.inf, -np.inf])
+    def test_infinite_x_is_past_the_support(self, x):
+        # as_integer_ratio raises OverflowError at +-inf
+        assert [bspline_value(n, x) for n in range(12)] == [0.0] * 12
+
+    def test_nan_x_raises(self):
+        with pytest.raises(ValueError, match="x must be a number, got nan"):
+            bspline_value(3, np.nan)
+
     @given(st.integers(0, 11), st.floats(-7, 7))
     @at_half_integers
     @settings(max_examples=300, deadline=None)
@@ -482,6 +491,12 @@ class TestLagrangeKernelSpace:
         xs = np.array([20 + 0.25 / 4, 20.1])
         np.testing.assert_array_equal(coarse.evaluate(np.r_[xs, -xs]), 0.0)
         assert coarse.evaluate([20.0])[0] == coarse.samples[-1]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_evaluate_is_zero_at_infinities_and_nan_without_warnings(self, kernel):
+        # idx - rint(idx) at idx = +-inf is inf - inf, "invalid value encountered in subtract"
+        got = kernel.evaluate([np.inf, -np.inf, np.nan, 0.0])
+        np.testing.assert_array_equal(got, [0.0, 0.0, 0.0, kernel.samples[len(kernel.samples) // 2]])
 
     def test_even_symmetry(self, kernel):
         mid = len(kernel.samples) // 2

@@ -22,7 +22,7 @@ from .errors import MathError
 from .inversion import _invert_stable, decay_fit, invert_singular_1d
 # re-exported only for the install check at bench/test_bench.py:132, which ROADMAP item 0 moves
 from .inversion import invert_stable  # noqa: F401
-from .lattice import filter_from_json, filter_to_json
+from .lattice import as_int, filter_from_json, filter_to_json
 from .spectrum import lemma_bound_check, min_modulus_certified
 from .splines import (
     bspline_generator,
@@ -98,6 +98,18 @@ def _load_json(arg, parse):
     return parse(arg)
 
 
+def _int_arg(text, name):
+    """text as an int by lattice.as_int's rule: "2" and "2.0" give 2, while
+    "1.5" and "x" raise ValueError naming the argument."""
+    for parse in (int, float):
+        try:
+            text = parse(text)
+            break
+        except ValueError:
+            pass
+    return as_int(text, name)
+
+
 def _decay_json(report):
     return {
         "model": report.model,
@@ -140,7 +152,7 @@ def _cmd_invert_singular(args):
 
 def _cmd_grs_check(args):
     w = _load_json(args.weight, weight_from_json)
-    k = [int(x) for x in args.k.split(",")]
+    k = [_int_arg(x, "--k") for x in args.k.split(",")]
     _write_json(args.out, vars(grs_limit(w, k, args.m_max)))
     return 0
 

@@ -258,9 +258,12 @@ def convolve(a, b):
 
 
 def weighted_norm(a, p, w):
-    """Weighted norm ||w[.] a[.]||_{l_p} over the finite support, p in {1,2,inf}."""
-    if p not in (1, 2, np.inf, "inf"):
-        raise ValueError("p must be 1, 2, or inf")
+    """Weighted norm ||w[.] a[.]||_{l_p} over the finite support: p is 1 or 2
+    by as_int's rule (1.0 is 1, a bool is refused), or inf or "inf"."""
+    try:
+        p = np.inf if p == "inf" or p == np.inf else as_int(p, "p", 1, 2)
+    except ValueError:
+        raise ValueError(f"p must be 1, 2, or inf, got {p!r}") from None
     ks = a.indices()
     wv = np.asarray(w.eval(ks), dtype=float)
     if np.any(wv <= 0) or not np.all(np.isfinite(wv)):

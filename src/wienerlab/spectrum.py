@@ -9,10 +9,15 @@ is turned into a certified lower bound over the whole torus by
 subtracting (pi/N) sum_j L_j, a bound that no shift of the support
 changes. A rank-1 tensor filter f_1 x ... x f_d has the product symbol
 prod_j fhat_j and is certified on d 1-D grids instead of one N^d grid.
+Real taps give hhat(-w) = conj hhat(w), so a real grid is swept on its
+half spectrum (rfftn) and only complex taps take the full fftn.
+symbol_eval sums the taps by blocked Paterson-Stockmeyer evaluation:
+one GEMM per chunk of points, then a short Horner loop.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 
@@ -32,12 +37,24 @@ __all__ = [
 GRID_START = 64
 # a tensor filter goes axis by axis when its rank-1 remainder is this small
 RANK_ONE_TOL = 1e-12
+# symbol_eval: points per chunk, and the cap on its Paterson-Stockmeyer block
+EVAL_CHUNK = 512
+PS_BLOCK_CAP = 64
 
 
 def symbol_eval(h, omega):
     """hhat(omega) = sum_k h[k] e^{-i <omega, k>}, 2-pi-periodic per axis.
 
     omega: scalar (d=1), a length-d vector, or an (..., d) array.
+
+    Blocked Paterson-Stockmeyer evaluation along h's last axis, whose
+    n coefficients every point shares: the baby steps z^0..z^{B-1},
+    z = e^{-i w} and B = ceil(sqrt(n)) capped at 64, come from one
+    cumprod; one GEMM against the coefficients in (n/B, B) blocks gives
+    the n/B giant-step coefficients, summed by Horner in z^B. Any other
+    axis is then summed by Horner in its own z. Points go in chunks of
+    EVAL_CHUNK: for a 1-D filter of up to 4096 taps no transient
+    exceeds 0.5 MB.
     """
     omega = np.asarray(omega, dtype=float)
     scalar_in = False
@@ -50,17 +67,28 @@ def symbol_eval(h, omega):
         raise ValueError(f"omega last axis {omega.shape[-1]} != dim {h.dim}")
     lead = omega.shape[:-1]
     flat = omega.reshape(-1, h.dim)
-    z = np.exp(-1j * flat)
-    # Horner in z_a = e^{-i w_a} over the taps of h's support box, one axis
-    # at a time from the last; the leading axis runs over the frequencies
-    vals = h.coeffs[None]
-    for a in reversed(range(h.dim)):
-        za = z[:, a].reshape((-1,) + (1,) * a)
-        vals = reduce(lambda acc, c: acc * za + c, np.moveaxis(vals, -1, 0)[::-1])
-    vals = vals * np.exp(-1j * (flat @ h.origin))
+    # C[i R + r, j] = h.coeffs[r, i B + j], r over the R taps of the leading axes
+    c = h.coeffs
+    rest, n = c.shape[:-1], c.shape[-1]
+    B = min(math.isqrt(n - 1) + 1, PS_BLOCK_CAP)
+    m = -(-n // B)
+    C = np.pad(c, [(0, 0)] * len(rest) + [(0, m * B - n)]).reshape(rest + (m, B))
+    C = np.moveaxis(C, -2, 0).reshape(-1, B)
+    out = np.empty(len(flat), complex)
+    for s in range(0, len(flat), EVAL_CHUNK):
+        w = flat[s:s + EVAL_CHUNK]
+        z = np.exp(-1j * w.T)  # one row per axis, one column per point
+        Z = np.ones((B, len(w)), complex)
+        Z[1:] = z[-1]
+        giant = (C @ np.cumprod(Z, axis=0)).reshape((m,) + rest + (-1,))
+        zB = np.exp(-1j * B * w[:, -1])
+        vals = reduce(lambda acc, g: acc * zB + g, giant[::-1])
+        for za in z[:-1]:
+            vals = reduce(lambda acc, g: acc * za + g, vals[::-1])
+        out[s:s + EVAL_CHUNK] = vals * np.exp(-1j * (w @ h.origin))
     if scalar_in:
-        return complex(vals[0])
-    return vals.reshape(lead)
+        return complex(out[0])
+    return out.reshape(lead)
 
 
 @dataclass(frozen=True)
@@ -121,6 +149,9 @@ def min_modulus_certified(h, target_gap=1e-9):
     every factor's bound b_j is positive, min_j b_j - r otherwise. A dense
     first grid of more than GRID_POINT_CAP points (d >= 5) raises
     ValueError, and the dense sweep stops before a grid over the cap.
+    A real grid is swept on its half spectrum (rfftn), which holds every
+    modulus since hhat(-w) = conj hhat(w); its argmin then has w_d in
+    [0, pi], pi written -pi. Complex taps are swept by fftn.
     target_gap must be > 0: near a zero the grid minimum only shrinks
     towards it, so a gap of 0 or NaN would sweep on to the cap.
     """
@@ -136,7 +167,8 @@ def min_modulus_certified(h, target_gap=1e-9):
             # grid stays referenced until |hhat| is taken: freeing it before
             # np.abs allocates measured a 30 MB higher peak RSS at N=4096, d=2
             grid = f.on_torus(N)
-            mods = np.abs(np.fft.fftn(grid))
+            # real taps: hhat(-w) = conj hhat(w), so the half spectrum holds every modulus
+            mods = np.abs(np.fft.fftn(grid) if f.is_complex else np.fft.rfftn(grid))
             i = np.unravel_index(int(np.argmin(mods)), mods.shape)
             mins.append(float(mods[i]))
             bounds.append(mins[-1] - _lipschitz(f) * np.pi / N)

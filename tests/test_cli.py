@@ -178,6 +178,12 @@ class TestReportsToStdout:
         assert res["verdict"] == "not_grs"
         assert res["extrapolated_limit"] == pytest.approx(np.exp(0.5), rel=1e-12)
 
+    def test_grs_check_reads_an_integral_float_direction_as_the_integer(self, capsys):
+        # lattice.as_int's rule: 2.0 is 2
+        weight = '{"kind":"subexponential","dim":2,"params":{"r":0.5,"b":0.5}}'
+        runs = [run(capsys, "grs-check", "--weight", weight, "--k", k) for k in ("2,-1", "2.0,-1.0")]
+        assert runs[0][0] == 0 and runs[0] == runs[1]
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_grs_check_limit_past_the_float_range(self, capsys):
         # e^800 rounds to inf, without numpy's overflow warning
@@ -355,6 +361,10 @@ class TestJsonText:
                      "weight dim must be >= 1", id="weight-dim-0"),
         pytest.param(["grs-check", "--weight", '{"kind":"polynomial","params":{"n":1}}',
                       "--k", "99999999999999999999"], "direction k must fit in int64", id="grs-k-past-int64"),
+        pytest.param(["grs-check", "--weight", '{"kind":"polynomial","params":{"n":1}}', "--k", "1.5"],
+                     "--k: expected an integer, got 1.5", id="grs-fractional-k"),
+        pytest.param(["grs-check", "--weight", '{"kind":"polynomial","dim":2,"params":{"n":1}}', "--k", "1,x"],
+                     "--k: expected an integer, got 'x'", id="grs-non-numeric-k"),
         # a first FFT grid of 2^26 points per axis: refused before any allocation
         pytest.param(["invert", "--filter", CUBIC, "--radius", "20000000"], "window_radius 20000000",
                      id="invert-huge-radius"),

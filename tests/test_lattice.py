@@ -235,7 +235,10 @@ def convolve_reference(a, b):
 
 
 def sup_reference(a, b, box):
-    diff = np.array([a.coeff_at(k) - b.coeff_at(k) for k in box.indices()])
+    """max |a[k] - b[k]| over box, looping only over the box's points in
+    either support; every other point adds one 0 between them."""
+    ks = {tuple(k) for f in (a, b) for k in f.indices().tolist() if box.contains(k)}
+    diff = np.array([a.coeff_at(k) - b.coeff_at(k) for k in ks] + [0.0] * (len(ks) < box.size))
     return float(np.max(np.abs(diff)))
 
 
@@ -308,6 +311,16 @@ class TestNorms:
     def test_bad_p(self):
         with pytest.raises(ValueError):
             weighted_norm(kronecker(1), 3, polynomial_weight(0))
+
+    @pytest.mark.parametrize("p", [True, False, 1.5, np.nan, -np.inf, "1", None])
+    def test_p_other_than_1_2_inf_is_refused_by_name(self, p):
+        # True == 1 in Python, but no integer argument of the library takes a bool
+        with pytest.raises(ValueError, match="p must be 1, 2, or inf"):
+            weighted_norm(Filter((0,), [3.0, -4.0]), p, polynomial_weight(0))
+
+    @pytest.mark.parametrize("p, want", [(1.0, 7.0), (np.int64(2), 5.0), (2.0, 5.0), ("inf", 4.0), (np.float64(np.inf), 4.0)])
+    def test_p_by_the_integer_rule_or_inf(self, p, want):
+        assert weighted_norm(Filter((0,), [3.0, -4.0]), p, polynomial_weight(0)) == want
 
 
 class TestJson:

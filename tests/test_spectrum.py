@@ -15,7 +15,7 @@ from wienerlab import (
     min_modulus_certified,
     symbol_eval,
 )
-from wienerlab.spectrum import _lipschitz
+from wienerlab.spectrum import EVAL_CHUNK, _lipschitz
 
 
 def cubic():
@@ -69,6 +69,35 @@ class TestSymbolEval:
         gap = np.max(np.abs(symbol_eval(h, ws) - direct))
         # both sums lose about eps |<w, k>| per term, and |<w, k>| < 2200 here
         assert gap <= 1e-12 * np.sum(np.abs(h.coeffs))
+
+
+@pytest.mark.parametrize("n_points", [1, EVAL_CHUNK - 1, EVAL_CHUNK, EVAL_CHUNK + 1])
+@pytest.mark.parametrize("n_taps", [1, 2, 63, 64, 65, 1000, 4096])
+def test_symbol_eval_matches_the_fft(n_taps, n_points):
+    # the FFT of h folded onto n_points points is hhat at the multiples of
+    # 2 pi / n_points; the sampled multiples span three periods
+    rng = np.random.default_rng(n_taps * n_points)
+    h = Filter((int(rng.integers(-100, 101)),), rng.standard_normal(n_taps) + 1j * rng.standard_normal(n_taps) * (n_taps % 2))
+    j = rng.integers(-n_points, 2 * n_points, n_points)
+    want = np.fft.fft(h.on_torus(n_points))[j % n_points]
+    got = symbol_eval(h, 2 * np.pi * j / n_points)
+    assert got.shape == (n_points,)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.sum(np.abs(h.coeffs))
+    assert symbol_eval(h, (2 * np.pi * j / n_points)[:, None, None]).shape == (n_points, 1)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_symbol_eval_shapes(dim):
+    h = Filter((0,) * dim, np.arange(1.0, 1 + 3**dim).reshape((3,) * dim))
+    assert symbol_eval(h, np.zeros((0, dim))).shape == (0,)
+    assert symbol_eval(h, np.zeros((2, 0, dim))).shape == (2, 0)
+    # a length-d vector is one point, except in 1-D, where it lists points
+    assert symbol_eval(h, np.zeros(dim)).shape == ((1,) if dim == 1 else ())
+    assert symbol_eval(h, np.zeros((4, 5, dim))).shape == (4, 5)
+    assert symbol_eval(h, np.zeros((1, dim)))[0] == np.sum(h.coeffs)
+    if dim == 1:
+        assert symbol_eval(h, np.zeros(0)).shape == (0,)
+        assert type(symbol_eval(h, 0.0)) is complex and symbol_eval(h, 0.0) == 6.0
 
 
 class TestModulusCertificate:
@@ -143,6 +172,15 @@ def dominant_line(rng, n, complex_ok=False, margin=0.2):
     return f
 
 
+def dominated(rng, shape, margin):
+    """Real taps of the given shape: one of them +-1, the others summing
+    to at most 1 - margin in modulus, so |hhat| >= margin."""
+    c = rng.uniform(-1, 1, shape)
+    c *= (1 - margin) / np.sum(np.abs(c))
+    c[tuple(int(rng.integers(n)) for n in shape)] = rng.choice([-1.0, 1.0])
+    return c
+
+
 def outer(lines):
     return reduce(np.multiply.outer, lines)
 
@@ -205,6 +243,38 @@ class TestCertificateProperties:
         assert cert.grid_min == pytest.approx(float(np.min(dense)), rel=1e-13)
         ws = rng.uniform(-np.pi, np.pi, size=(1000, d))
         assert np.all(np.abs(symbol_eval(h, ws)) >= cert.certified_lower_bound - 1e-12)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_real_half_spectrum_sweep_matches_the_full_sweep(self, seed, d, tensor):
+        # 1-D filters may carry a real unit zero (likely-singular) or a
+        # conjugate pair of zeros just off the circle, so the sweep doubles
+        # up to GRID_AXIS_CAP; dense 3-D sweeps stay at N = 64
+        rng = np.random.default_rng(seed)
+        shape = tuple(int(n) for n in rng.integers(1, 5 if d < 3 else 4, size=d))
+        if tensor and d > 1:
+            coeffs = outer([dominated(rng, (n,), 10 ** rng.uniform(-1.5 if d == 2 else -0.5, 0)) for n in shape])
+        else:
+            coeffs = dominated(rng, shape, 10 ** rng.uniform({1: -4, 2: -1.5, 3: -0.3}[d], 0))
+        if d == 1 and rng.integers(3) == 0:
+            coeffs = np.convolve(coeffs, [1, rng.choice([-1, 1])])
+        elif d == 1 and rng.integers(2):
+            r, theta = 1 + 10 ** rng.uniform(-5, -0.5), rng.uniform(0, np.pi)
+            coeffs = np.convolve(coeffs, [1, -2 * r * np.cos(theta), r * r])
+        h = Filter(tuple(int(o) for o in rng.integers(-1000, 1001, size=d)), coeffs)
+        cert = min_modulus_certified(h)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.fft, "rfftn", np.fft.fftn)
+            full = min_modulus_certified(h)
+        assert (cert.status, cert.grid_size) == (full.status, full.grid_size)
+        dense_min = float(np.min(np.abs(np.fft.fftn(h.on_torus(cert.grid_size)))))
+        # the two FFTs round differently, by up to 7.7e-16 sum |h| in 600
+        # draws: past 1e-13 relative when the minimum is near a zero
+        l1 = np.sum(np.abs(h.coeffs))
+        assert cert.grid_min == pytest.approx(dense_min, rel=1e-13, abs=1e-14 * l1)
+        # the argmin is a grid point of that modulus with w_d in [0, pi], pi written -pi
+        assert abs(abs(symbol_eval(h, cert.argmin)) - cert.grid_min) <= 1e-13 * l1
+        assert 0 <= cert.argmin[-1] < np.pi or cert.argmin[-1] == -np.pi
 
     def test_perturbed_outer_product_takes_dense_route(self, monkeypatch):
         swept = []

@@ -307,7 +307,7 @@ def filter_from_json(obj):
     try:
         dim = as_int(obj["dim"], "dim")
         origin = [as_int(x, "origin") for x in obj["origin"]]
-        shape = [as_int(x, "shape") for x in obj["shape"]]
+        shape = [as_int(x, "shape", 1) for x in obj["shape"]]
         coeffs = np.asarray(obj["coeffs"], dtype=float)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed Filter JSON: {exc}") from exc

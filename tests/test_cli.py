@@ -348,6 +348,17 @@ class TestJsonText:
                      "malformed Filter JSON", id="filter-fractional-origin"),
         pytest.param(["symbol-min", "--filter", '{"dim":1,"origin":[-1],"shape":[2.5],"coeffs":[1,4]}'],
                      "malformed Filter JSON", id="filter-fractional-shape"),
+        # a zero extent once read as the zero filter, a negative one reached numpy's reshape
+        pytest.param(["symbol-min", "--filter", '{"dim":1,"origin":[3],"shape":[0],"coeffs":[]}'],
+                     "malformed Filter JSON: shape must be >= 1, got 0", id="filter-zero-shape"),
+        pytest.param(["invert", "--filter", '{"dim":1,"origin":[3],"shape":[0],"coeffs":[]}'],
+                     "malformed Filter JSON: shape must be >= 1, got 0", id="invert-zero-shape"),
+        pytest.param(["decay-fit", "--filter", '{"dim":1,"origin":[3],"shape":[0],"coeffs":[]}'],
+                     "malformed Filter JSON: shape must be >= 1, got 0", id="decay-fit-zero-shape"),
+        pytest.param(["symbol-min", "--filter", '{"dim":2,"origin":[0,0],"shape":[2,0],"coeffs":[]}'],
+                     "malformed Filter JSON: shape must be >= 1, got 0", id="filter-2d-zero-shape"),
+        pytest.param(["invert", "--filter", '{"dim":2,"origin":[0,0],"shape":[-1,-1],"coeffs":[1]}'],
+                     "malformed Filter JSON: shape must be >= 1, got -1", id="filter-negative-shape"),
         pytest.param(["grs-check", "--weight", '{"kind":"polynomial","dim":1.5,"params":{"n":1}}'],
                      "malformed Weight JSON", id="weight-fractional-dim"),
         # JSON reads NaN and Infinity; a NaN parameter once printed NaN samples with exit 0

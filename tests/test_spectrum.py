@@ -185,6 +185,21 @@ def outer(lines):
     return reduce(np.multiply.outer, lines)
 
 
+def fft_shapes(h):
+    """The shapes of the grids that certifying h hands to the FFT: (d, N)
+    rows on the per-axis route, N^d on the dense one."""
+    shapes = set()
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("fftn", "rfftn"):
+            def spy(grid, *args, fft=getattr(np.fft, name), **kwargs):
+                shapes.add(grid.shape)
+                return fft(grid, *args, **kwargs)
+
+            mp.setattr(np.fft, name, spy)
+        min_modulus_certified(h)
+    return shapes
+
+
 def random_filter(seed):
     """A 1-D or 2-D filter, real or complex, separable or not. The margin
     of its dominant tap sets how many doublings the certificate takes.
@@ -276,23 +291,83 @@ class TestCertificateProperties:
         assert abs(abs(symbol_eval(h, cert.argmin)) - cert.grid_min) <= 1e-13 * l1
         assert 0 <= cert.argmin[-1] < np.pi or cert.argmin[-1] == -np.pi
 
-    def test_perturbed_outer_product_takes_dense_route(self, monkeypatch):
-        swept = []
-        on_torus = Filter.on_torus
-
-        def spy(f, N):
-            swept.append(f.dim)
-            return on_torus(f, N)
-
-        monkeypatch.setattr(Filter, "on_torus", spy)
+    def test_perturbed_outer_product_takes_dense_route(self):
         coeffs = outer([cubic().coeffs] * 2)
-        min_modulus_certified(Filter((-1, -1), coeffs))
-        assert set(swept) == {1}
-        swept.clear()
+        assert fft_shapes(Filter((-1, -1), coeffs)) == {(2, 64)}
         coeffs[0, 1] += 1e-6
-        cert = min_modulus_certified(Filter((-1, -1), coeffs))
-        assert set(swept) == {2}
+        assert fft_shapes(Filter((-1, -1), coeffs)) == {(64, 64)}
+        assert min_modulus_certified(Filter((-1, -1), coeffs)).status == "certified"
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_outer_products_are_swept_per_axis(self, seed, d, complex_ok):
+        # the largest tap of each factor sits anywhere in it, and a factor
+        # of 3 or more taps may have a zero inside
+        rng = np.random.default_rng(seed)
+        lines = [dominant_line(rng, int(rng.integers(1, 6)), complex_ok, rng.uniform(0.2, 1.0)) for _ in range(d)]
+        for f in lines:
+            j = int(rng.integers(len(f)))
+            if 0 < j < len(f) - 1 and abs(f[j]) < np.max(np.abs(f)):
+                f[j] = 0
+        h = Filter(tuple(int(o) for o in rng.integers(-1000, 1001, size=d)), outer(lines))
+        cert = min_modulus_certified(h)
+        N = cert.grid_size
+        assert fft_shapes(h) == {(d, 64 << i) for i in range(11) if 64 << i <= N}
+        if N**d <= 2**20:
+            dense_min = float(np.min(np.abs(np.fft.fftn(h.on_torus(N)))))
+        else:
+            # the fold of an outer product is the outer product of the
+            # factors' folds, so its grid minimum is the product of theirs
+            dense_min = float(np.prod([np.min(np.abs(np.fft.fft(Filter((0,), f).on_torus(N)))) for f in lines]))
+        # one-tap factors have L = 0, so the bound is the grid minimum
+        # itself, which the dense FFT rounds differently
+        assert cert.certified_lower_bound <= dense_min * (1 + 1e-13)
+        assert cert.grid_min == pytest.approx(dense_min, rel=1e-13)
+        ws = rng.uniform(-np.pi, np.pi, size=(200, d))
+        assert np.all(np.abs(symbol_eval(h, ws)) >= cert.certified_lower_bound - 1e-12 * np.sum(np.abs(h.coeffs)))
+
+    def test_factor_longer_than_the_grid_wraps_onto_its_row(self):
+        # 100 taps fold onto a 64-point row, so columns collide
+        rng = np.random.default_rng(7)
+        f = 1e-4 * rng.standard_normal(100)
+        f[50] = 1.0
+        h = Filter((-50, -1), outer([f, cubic().coeffs]))
+        cert = min_modulus_certified(h)
+        assert (cert.grid_size, cert.status) == (64, "certified")
+        assert fft_shapes(h) == {(2, 64)}
+        assert cert.grid_min == pytest.approx(float(np.min(np.abs(np.fft.fftn(h.on_torus(64))))), rel=1e-13)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 3), st.booleans())
+    @settings(max_examples=20, deadline=None)
+    def test_a_moved_tap_takes_the_dense_route(self, seed, d, complex_ok):
+        # factors this dominated certify on the first dense grid, which
+        # keeps a 3-D sweep inside the 1 GB limit of CI
+        rng = np.random.default_rng(seed)
+        lines = [dominated(rng, (int(rng.integers(2, 5)),), 0.9) for _ in range(d)]
+        if complex_ok:
+            lines = [f * np.exp(2j * np.pi * rng.uniform(size=len(f))) for f in lines]
+        coeffs = outer(lines)
+        coeffs[tuple(int(rng.integers(n)) for n in coeffs.shape)] += 1e-6 * np.sum(np.abs(coeffs))
+        assert fft_shapes(Filter((0,) * d, coeffs)) == {(64,) * d}
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_tensors_certify_without_an_svd(self, monkeypatch, d):
+        def svd(*args, **kwargs):
+            raise AssertionError("np.linalg.svd called")
+
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        cert = min_modulus_certified(bspline_samples(3, d=d))
         assert cert.status == "certified"
+        assert cert.certified_lower_bound <= (1.0 / 3) ** d <= cert.grid_min + 1e-15
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-90, 1e80, 1e300])
+    def test_5d_tensor_certifies_at_any_scale(self, scale):
+        # a factor divided by a power of the largest tap would under- or
+        # overflow here and send the filter to a dense grid over the cap
+        h = bspline_samples(3, d=5)
+        cert = min_modulus_certified(Filter(h.origin, h.coeffs * scale))
+        assert cert.status == "certified"
+        assert cert.grid_min == pytest.approx(scale / 3**5, rel=1e-13)
 
     def test_5d_tensor_cubic_certifies_at_first_grid(self):
         # a dense sweep could not start: 64^5 points exceed the cap

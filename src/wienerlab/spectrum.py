@@ -24,7 +24,7 @@ from functools import reduce
 
 import numpy as np
 
-from .lattice import GRID_AXIS_CAP, GRID_POINT_CAP, Filter, as_int
+from .lattice import GRID_AXIS_CAP, GRID_POINT_CAP, as_int
 
 __all__ = [
     "symbol_eval",

@@ -10,6 +10,7 @@ byte-identical files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -313,16 +314,10 @@ def main(argv=None):
     try:
         return args.func(args)
     except MathError as exc:
-        diag = {"error": type(exc).__name__, "message": str(exc)}
-        best = getattr(exc, "best_residual", None)
-        if best is not None:
-            diag["best_residual"] = best
-        cert = getattr(exc, "certificate", None)
-        if cert is not None:
-            diag["certificate"] = vars(cert)
-        sys.stderr.write(_json_text(diag) + "\n")
+        details = {k: vars(v) if dataclasses.is_dataclass(v) else v for k, v in vars(exc).items()}
+        sys.stderr.write(_json_text({"error": type(exc).__name__, "message": str(exc), **details}) + "\n")
         return 2
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         sys.stderr.write(f"wienerlab: {exc}\n")
         return 1
 

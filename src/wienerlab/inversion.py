@@ -82,7 +82,7 @@ def _certified_window(h, window_radius, certificate):
     W = as_int(window_radius, "window_radius", 0)
     cert = certificate if certificate is not None else min_modulus_certified(h)
     if cert.status != "certified":
-        raise NotInvertibleError(f"symbol not certified invertible (status {cert.status})", cert)
+        raise NotInvertibleError(f"symbol not certified invertible (status {cert.status})", certificate=cert)
     return W
 
 
@@ -94,9 +94,10 @@ def toeplitz_oracle(h, window_radius):
 
     The equations h*g = delta cover the support of h*g, so the normal matrix is
     M[i, j] = R[l_i - l_j] for R = h~*h, h~[k] = conj(h[-k]), with h~ on the window as
-    right side; by Parseval ||h*g||_2 >= min |hhat| ||g||_2, so the certificate keeps M
-    positive definite. M is banded and never formed: its block Cholesky factor, computed
-    once from blocks read straight from R, serves the solve and one refinement step,
+    right side; both are divided by 2^2p for 2^p the scale of max |h|, so M stays near 1
+    at any scale of h. By Parseval ||h*g||_2 >= min |hhat| ||g||_2, so the certificate
+    keeps M positive definite. M is banded and never formed: its block Cholesky factor,
+    computed once from blocks read straight from R, serves the solve and one refinement step,
     whose residual is h~*(delta - h*g). Convolutions are direct: no FFT and no roots.
     Raises ValueError before allocating a band (3 n^d s entries for blocks of s rows)
     of more than GRID_POINT_CAP entries.
@@ -109,7 +110,9 @@ def toeplitz_oracle(h, window_radius):
         raise ValueError(f"window_radius {W} needs a normal-matrix band of {band} > {GRID_POINT_CAP} entries")
     window = Box((-W,) * d, (n,) * d)
     rows = Box(np.subtract(h.origin, W), np.add(h.coeffs.shape, n - 1))  # the support of h*g
-    h_adj = Filter(1 - np.add(h.origin, h.coeffs.shape), np.conj(np.flip(h.coeffs)))
+    # p >= -1021 keeps 2^-p a float; an even power 2^2p leaves every rounding, square roots too, as at scale 1
+    p = max(int(np.frexp(np.abs(h.coeffs).max())[1]), -1021)
+    h_adj = Filter(1 - np.add(h.origin, h.coeffs.shape), np.conj(np.flip(h.coeffs)) * 2.0**-p * 2.0**-p)
     R = convolve(h_adj, h).on_box(Box((-2 * W,) * d, (2 * n - 1,) * d))
     # R is row-major, so its flat index is linear in the lag: l_i - l_j sits at at[i] - at[j] + at[-1]
     at = np.ravel_multi_index(np.indices(window.shape).reshape(d, -1), R.shape)
@@ -224,7 +227,8 @@ def _invert_stable(h, tail_tol, window_radius, certificate):
     while True:
         ghat = fft(h.on_torus(N))
         np.reciprocal(ghat, out=ghat)
-        floor = np.finfo(float).eps * d * np.log2(N) * h_norm * float(np.max(np.abs(ghat))) ** 2
+        m = float(np.max(np.abs(ghat)))  # not m ** 2, which raises OverflowError past m = 1.3e154
+        floor = np.finfo(float).eps * d * np.log2(N) * (h_norm * m) * m
         gper = ifft(ghat, s=(N,) * d, axes=range(d))
         del ghat  # the 4-D grids are hundreds of MB: free the spectrum first
         absg = np.abs(gper)
@@ -287,6 +291,8 @@ def _split_roots(h):
         raise ValueError("exact inversion is defined for d=1 only")
     if not np.any(h.coeffs):
         raise ValueError("filter is identically zero")
+    if not float(np.abs(h.coeffs).max()) / float(abs(h.coeffs[0])) < np.inf:  # np.roots divides by the leading tap
+        raise ValueError("the taps' ratio to the leading tap overflows the float range, and with it the roots")
     roots = np.roots(h.coeffs.ravel())
     inner, unit, outer = [], [], []
     for group in _groups(roots):
@@ -522,13 +528,8 @@ def decay_fit(g):
         raise ValueError("degenerate input: all samples beyond the origin are zero")
     if np.count_nonzero(nonzero) < MIN_FIT_SAMPLES:
         raise ValueError(f"need at least {MIN_FIT_SAMPLES} nonzero samples")
-    return _dual_model_fit(dist1[nonzero], dist2[nonzero], vals[nonzero])
-
-
-def _dual_model_fit(dist1, dist2, vals):
-    sel = dist1 >= max(np.max(dist1) / 2.0, 1.0)  # the outer half, at least 1 out
-    d1, d2, v = dist1[sel], dist2[sel], vals[sel]
-    logv = np.log(v)
+    sel = nonzero & (dist1 >= max(np.max(dist1[nonzero]) / 2.0, 1.0))  # the outer half, at least 1 out
+    logv = np.log(vals[sel])
 
     def linfit(x):
         A = np.vstack([np.ones_like(x), x]).T
@@ -536,16 +537,18 @@ def _dual_model_fit(dist1, dist2, vals):
         rms = float(np.sqrt(np.mean((A @ coef - logv) ** 2)))
         return coef, rms
 
-    (a_exp, slope_exp), rms_exp = linfit(d1)
-    (a_alg, slope_alg), rms_alg = linfit(np.log1p(d2))
+    (a_exp, slope_exp), rms_exp = linfit(dist1[sel])
+    (a_alg, slope_alg), rms_alg = linfit(np.log1p(dist2[sel]))
 
     if rms_exp * 2.0 <= rms_alg:
-        model, rms, const = "exponential", rms_exp, np.exp(a_exp)
+        model, rms, log_const = "exponential", rms_exp, a_exp
     elif rms_alg * 2.0 <= rms_exp:
-        model, rms, const = "algebraic", rms_alg, np.exp(a_alg)
+        model, rms, log_const = "algebraic", rms_alg, a_alg
     else:
         model, rms = "mixed", min(rms_exp, rms_alg)
-        const = np.exp(a_exp if rms_exp <= rms_alg else a_alg)
+        log_const = a_exp if rms_exp <= rms_alg else a_alg
+    with np.errstate(over="ignore"):  # a sequence far from the origin: past e^709.8 the constant rounds to inf
+        const = np.exp(log_const)
     return DecayReport(
         model=model,
         rate=-float(slope_exp),

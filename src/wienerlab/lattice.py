@@ -31,6 +31,8 @@ DIRECT_CONVOLUTION_CUTOFF = math.inf
 GRID_POINT_CAP = 2**26
 # Points on one axis of an FFT grid, a certificate sweep or a singular window.
 GRID_AXIS_CAP = 2**16
+# |origin| of a Box or Filter at most: every index stays exact in float64 and far inside int64
+ORIGIN_CAP = 2**52
 
 
 def as_int(x, name, lo=None, hi=None):
@@ -48,6 +50,13 @@ def as_int(x, name, lo=None, hi=None):
     return x
 
 
+def as_float(x, name):
+    """x as a float, for the numbers of the JSON formats: ValueError naming the argument unless an int or a float."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ValueError(f"{name}: expected a number, got {x!r}")
+    return float(x)
+
+
 @dataclass(frozen=True)
 class Box:
     """Axis-aligned box of multi-indices: origin <= k < origin + shape."""
@@ -56,7 +65,7 @@ class Box:
     shape: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "origin", tuple(as_int(x, "origin") for x in self.origin))
+        object.__setattr__(self, "origin", tuple(as_int(x, "origin", -ORIGIN_CAP, ORIGIN_CAP) for x in self.origin))
         object.__setattr__(self, "shape", tuple(as_int(x, "shape", 1) for x in self.shape))
         if len(self.origin) != len(self.shape):
             raise ValueError("origin and shape must have the same length")
@@ -102,7 +111,7 @@ class Filter:
         coeffs = np.asarray(coeffs)
         if coeffs.dtype.kind not in "fc":
             coeffs = coeffs.astype(float)
-        origin = tuple(as_int(x, "origin") for x in origin)
+        origin = tuple(as_int(x, "origin", -ORIGIN_CAP, ORIGIN_CAP) for x in origin)
         if coeffs.ndim != len(origin):
             raise ValueError(
                 f"coeffs ndim {coeffs.ndim} does not match origin length {len(origin)}"
@@ -170,11 +179,10 @@ class Filter:
         return grid
 
     def real_if_close(self):
-        """The real part, when no imaginary part exceeds 1e-9 max(max |h|, 1)."""
+        """The real part, when no imaginary part exceeds 1e-9 max |h|."""
         if not self.is_complex:
             return self
-        scale = max(np.max(np.abs(self.coeffs)), 1.0)
-        if np.max(np.abs(self.coeffs.imag)) <= 1e-9 * scale:
+        if np.max(np.abs(self.coeffs.imag)) <= 1e-9 * np.max(np.abs(self.coeffs)):
             return Filter(self.origin, self.coeffs.real.copy())
         return self
 
@@ -308,7 +316,7 @@ def filter_from_json(obj):
         dim = as_int(obj["dim"], "dim")
         origin = [as_int(x, "origin") for x in obj["origin"]]
         shape = [as_int(x, "shape", 1) for x in obj["shape"]]
-        coeffs = np.asarray(obj["coeffs"], dtype=float)
+        coeffs = np.array([as_float(x, "coeffs") for x in obj["coeffs"]])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed Filter JSON: {exc}") from exc
     if len(origin) != dim or len(shape) != dim:

@@ -149,7 +149,8 @@ def min_modulus_certified(h, target_gap=1e-9):
     modulus since hhat(-w) = conj hhat(w); its argmin then has w_d in
     [0, pi], pi written -pi. Complex taps are swept by fftn.
     target_gap must be > 0: near a zero the grid minimum only shrinks
-    towards it, so a gap of 0 or NaN would sweep on to the cap.
+    towards it, so a gap of 0 or NaN would sweep on to the cap. A bound
+    that overflows the float range raises ValueError at the first grid.
     """
     if not target_gap > 0:
         raise ValueError(f"target_gap must be > 0, got {target_gap}")
@@ -183,6 +184,8 @@ def min_modulus_certified(h, target_gap=1e-9):
         bounds = [x - l * np.pi / N for x, l in zip(mins, L)]
         grid_min = math.prod(mins)
         bound = (math.prod(bounds) if min(bounds) > 0 else min(bounds)) - r
+        if not math.isfinite(bound):  # taps whose sums overflow: no finer grid recovers them
+            raise ValueError(f"symbol sweep overflows the float range (certified bound {bound}); rescale the filter")
         argmin = tuple(2 * np.pi * i / N - (2 * np.pi if 2 * i >= N else 0) for i in np.ravel(idx).tolist())
         if bound > 0:
             status = "certified"

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import Box, as_int
+from .lattice import Box, as_float, as_int
 
 __all__ = [
     "Weight",
@@ -211,7 +211,7 @@ def weight_from_json(obj):
             "exponential": (exponential_weight, "r"),
             "subexponential": (subexponential_weight, "r", "b"),
         }.get(kind, (None,))
-        args = [float(obj.get("params", {})[name]) for name in names]
+        args = [as_float(obj.get("params", {})[name], name) for name in names]
         dim = as_int(obj.get("dim", 1), "dim")
     except (KeyError, TypeError, AttributeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed Weight JSON: {exc}") from exc

@@ -1,11 +1,14 @@
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wienerlab import filter_from_json
@@ -78,6 +81,14 @@ class TestInvert:
         diag = json.loads(err)
         assert diag["error"] == "ToleranceUnreachableError"
         assert 1e-30 < diag["best_residual"] < 1e-15
+
+    @pytest.mark.parametrize("command", ["invert", "symbol-min"])
+    def test_overflowing_l1_norm_exits_1(self, tmp_path, capsys, command):
+        text = '{"dim": 1, "origin": [0], "shape": [3], "coeffs": [1e308, -1e308, 1e308]}'
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            code, out, err = run(capsys, command, "--filter", text, "--out", str(tmp_path / "x.json"))
+        assert code == 1 and out == "" and list(tmp_path.iterdir()) == []
+        assert err.startswith("wienerlab: ") and err.count("\n") == 1 and "overflows the float range" in err
 
     def test_schema_failure_exits_1(self, tmp_path, capsys):
         bad = json.dumps({"dim": 1, "origin": [0]})
@@ -404,6 +415,18 @@ class TestJsonText:
         pytest.param(["reproduce", "--x-max", "inf"], "x_min and x_max must be finite", id="reproduce-infinite-x-max"),
         pytest.param(["reproduce", "--x-min", "nan"], "x_min and x_max must be finite", id="reproduce-nan-x-min"),
         pytest.param(["reproduce", "--x-min", "5", "--x-max", "-5"], "x_min <= x_max", id="reproduce-reversed-range"),
+        # past 2^52 float index arithmetic is inexact; at 2^63 the torus fold overflowed int64
+        *[pytest.param([c, "--filter", '{"dim":1,"origin":[9223372036854775808],"shape":[3],"coeffs":[1,4,1]}'],
+                       "origin must be in", id=f"{c}-origin-2^63") for c in ("invert", "symbol-min", "invert-singular")],
+        pytest.param(["decay-fit", "--filter", json.dumps({"dim": 1, "origin": [2**53], "shape": [20],
+                                                           "coeffs": [2.0**-k for k in range(20)]})],
+                     "origin must be in", id="decay-fit-origin-2^53"),
+        # JSON numbers only: no strings, no bools, no nested lists
+        *[pytest.param(["symbol-min", "--filter", '{"dim":1,"origin":[-1],"shape":[3],"coeffs":%s}' % c],
+                       "malformed Filter JSON", id=f"filter-coeffs-{i}")
+          for i, c in (("strings", '["1","4","1"]'), ("bool", "[true,4,1]"), ("nested", "[[1],[4],[1]]"))],
+        *[pytest.param(["grs-check", "--weight", '{"kind":"exponential","params":{"r":%s}}' % r],
+                       "malformed Weight JSON", id=f"weight-r-{i}") for i, r in (("string", '"0.5"'), ("bool", "true"))],
     ],
 )
 def test_bad_input_exits_1_with_one_line(argv, names, tmp_path, capsys, monkeypatch):
@@ -432,3 +455,58 @@ def test_import_loads_no_slow_scipy_subpackage():
     env = dict(os.environ, PYTHONPATH=src)
     loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert [m for m in loaded.stdout.split() if m.split(".")[0] == "scipy"] == []
+
+
+# a tap is 0 or of either sign in [1e-300, 1e300]
+TAPS = st.just(0.0) | st.floats(1e-300, 1e300) | st.floats(-1e300, -1e-300)
+
+
+@st.composite
+def any_filter_json(draw):
+    """Filter JSON with d = 1-3, axis lengths 1-4 and origins within 2^64.
+    For d >= 2 one tap outweighs all others by at least their sum: near-singular
+    2-D sweeps are ROADMAP item 1a's, and with a weaker tap a 3-D inverse whose
+    window misses it doubles its grid to 256^3 (seconds per draw)."""
+    d = draw(st.integers(1, 3))
+    shape = draw(st.lists(st.integers(1, 4), min_size=d, max_size=d))
+    origin = draw(st.lists(st.integers(-(2**64), 2**64), min_size=d, max_size=d))
+    coeffs = draw(st.lists(TAPS, min_size=math.prod(shape), max_size=math.prod(shape)))
+    if d >= 2:
+        coeffs[draw(st.integers(0, len(coeffs) - 1))] += draw(st.floats(2.0, 4.0)) * sum(map(abs, coeffs))
+    return json.dumps({"dim": d, "origin": origin, "shape": shape, "coeffs": coeffs})
+
+
+@given(st.sampled_from(["invert", "invert-singular", "symbol-min", "decay-fit"]), any_filter_json(), st.integers(0, 20))
+@settings(deadline=None)
+def test_no_exception_escapes_main(command, filt, radius):
+    argv = [command, "--filter", filt] + (["--radius", str(radius)] if command.startswith("invert") else [])
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    err = err.getvalue()
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert err.startswith("wienerlab: ") and err.count("\n") == 1
+    if code == 2:
+        assert isinstance(json.loads(err), dict)
+
+
+@pytest.mark.parametrize(
+    "argv, error, details",
+    [
+        (["invert", "--filter", DIFFERENCE], "NotInvertibleError", ["certificate"]),
+        (["invert", "--filter", CUBIC, "--tol", "1e-30"], "ToleranceUnreachableError", ["best_residual"]),
+        (["invert-singular", "--filter", CUBIC], "WrongBranchError", []),
+        (["reproduce", "--k-sum", "0"], "TailBoundError", ["tail_estimate"]),
+    ],
+    ids=["not-invertible", "tolerance-unreachable", "wrong-branch", "tail-bound"],
+)
+def test_exit_2_prints_every_detail_the_error_carries(argv, error, details, capsys):
+    code, out, err = run(capsys, *argv)
+    diag = json.loads(err)
+    assert code == 2 and out == "" and err == _json_text(diag) + "\n"
+    assert list(diag) == ["error", "message"] + details and diag["error"] == error
+    if "certificate" in diag:  # a dataclass detail prints as its fields
+        assert list(diag["certificate"]) == ["grid_size", "grid_min", "certified_lower_bound", "argmin", "status"]
+    else:
+        assert all(isinstance(diag[k], float) for k in details)

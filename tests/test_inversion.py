@@ -576,6 +576,13 @@ class TestSingular1D:
         if order == 0:
             assert np.max(np.abs(seq.values)) <= 1.0 + 1e-12
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("route", [invert_exact_1d, lambda h: invert_singular_1d(h, 8)], ids=["exact", "singular"])
+    def test_roots_past_the_float_range_raise(self, route):
+        # the root -1.8e308 of 1e-300 z + 1.8e8: np.roots would overflow dividing by the leading tap
+        with pytest.raises(ValueError, match="overflows the float range"):
+            route(Filter((0,), [1e-300, 1.8e8]))
+
     def test_stable_filter_raises_wrong_branch(self):
         with pytest.raises(WrongBranchError):
             invert_singular_1d(cubic(), 20)
@@ -619,3 +626,53 @@ class TestDecayFit:
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
             decay_fit(Filter((0,), np.array([1.0])))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_constant_past_the_float_range_is_inf(self):
+        # 2^-(k - 4096) = C e^{-|k| log 2} with C = 2^4096: the rate is right, the constant inf
+        rep = decay_fit(Filter((4096,), 0.5 ** np.arange(20)))
+        assert rep.model == "exponential" and rep.fit_constant == np.inf
+        assert rep.rate == pytest.approx(np.log(2), rel=1e-9)
+
+
+# a real and a complex filter whose inverses the routes must find at any scale
+SCALED = {"cubic": np.array([1.0, 4.0, 1.0]) / 6.0, "complex": np.array([0.2 + 0.1j, 1, 0.3 - 0.2j])}
+
+
+def scaled_error(route, c, k, W, want):
+    """sup |10^k route(10^k h) - want| on the window of radius W, for h = c at origin -1."""
+    g = route(Filter((-1,), c * 10.0**k), window_radius=W)
+    assert g.is_complex == np.iscomplexobj(c)
+    return np.max(np.abs(g.on_box(Box((-W,), (2 * W + 1,))) * 10.0**k - want))
+
+
+class TestAnyScale:
+    # lambda h inverts to h^-1 / lambda: a certified filter inverts at any scale the float range holds
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("k", [-300, -200, -160, 0, 9, 200, 300])
+    @pytest.mark.parametrize("name", sorted(SCALED))
+    def test_routes_invert_with_the_unit_scale_error(self, name, k):
+        c = SCALED[name]
+        exact = invert_exact_1d(Filter((-1,), c))
+        assert scaled_error(invert_stable, c, k, 40, exact.evaluate(np.arange(-40, 41))) < 1e-14
+        want = exact.evaluate(np.arange(-20, 21))
+        unit = scaled_error(toeplitz_oracle, c, 0, 20, want)  # the least-squares window's own error
+        assert scaled_error(toeplitz_oracle, c, k, 20, want) <= unit + 1e-15
+
+    @pytest.mark.parametrize("p", [-100, -40, 40, 100])
+    def test_oracle_and_certificate_commute_with_powers_of_two(self, p):
+        rng = np.random.default_rng(p + 100)
+        hs = [Filter((-1,), c) for c in SCALED.values()]
+        for shape in [(5,), (9,), (3, 2), (2, 3)]:
+            c = rng.standard_normal(shape) + (1j * rng.standard_normal(shape) if rng.integers(2) else 0)
+            c.flat[int(rng.integers(c.size))] += 1.5 * np.sum(np.abs(c))
+            hs.append(Filter(tuple(int(o) for o in rng.integers(-3, 4, len(shape))), c))
+        for h in hs:
+            moved = Filter(h.origin, h.coeffs * 2.0**p)
+            W = 12 if h.dim == 1 else 4
+            np.testing.assert_array_equal(toeplitz_oracle(moved, W).coeffs, toeplitz_oracle(h, W).coeffs * 2.0**-p)
+            a = min_modulus_certified(h)
+            assert a.status == "certified"
+            assert min_modulus_certified(moved) == ModulusCertificate(
+                a.grid_size, a.grid_min * 2.0**p, a.certified_lower_bound * 2.0**p, a.argmin, a.status
+            )

@@ -91,6 +91,26 @@ class TestFilter:
         assert a.coeff_at((5,)) == 0.0
         assert a.coeff_at((1,)) == 2.0
 
+    @pytest.mark.parametrize("origin", [2**52 + 1, -(2**52) - 1, 2**53, 2**63])
+    def test_origin_beyond_the_cap_rejected(self, origin):
+        # past 2^52 float index arithmetic loses its exactness; at 2^63 the torus fold overflowed int64
+        with pytest.raises(ValueError, match="origin must be in"):
+            Filter((origin,), [1.0, 4.0, 1.0])
+        with pytest.raises(ValueError, match="origin must be in"):
+            Box((0, origin), (1, 1))
+
+    def test_origin_at_the_cap_folds_exactly(self):
+        h = Filter((-(2**52),), [1.0, 4.0, 1.0])
+        np.testing.assert_array_equal(h.on_torus(8), [1.0, 4.0, 1.0, 0, 0, 0, 0, 0])
+        assert h.indices().astype(float).tolist() == [[-(2.0**52)], [1 - 2.0**52], [2 - 2.0**52]]
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-12, 1.0, 1e300])
+    def test_real_if_close_keeps_complex_values_at_any_scale(self, scale):
+        # imaginary parts are measured against max |h| alone, not against max(max |h|, 1)
+        c = np.array([0.2 + 0.1j, 1, 0.3 - 0.2j]) * scale
+        assert Filter((0,), c).real_if_close().is_complex
+        assert not Filter((0,), c.real + 1e-10j * c.real).real_if_close().is_complex
+
 
 class TestConvolve:
     def test_delta_is_neutral(self):
@@ -338,6 +358,12 @@ class TestJson:
     def test_coeff_length_checked(self):
         with pytest.raises(ValueError):
             filter_from_json({"dim": 1, "origin": [0], "shape": [3], "coeffs": [1.0]})
+
+    @pytest.mark.parametrize("coeffs", [["1", "4", "1"], [True, 4, 1], [[1], [4], [1]], "141", 141],
+                             ids=["strings", "bool", "nested", "string", "number"])
+    def test_coeffs_must_be_a_flat_list_of_numbers(self, coeffs):
+        with pytest.raises(ValueError, match="malformed Filter JSON"):
+            filter_from_json({"dim": 1, "origin": [-1], "shape": [3], "coeffs": coeffs})
 
 
 # -- integer arguments ---------------------------------------------------------

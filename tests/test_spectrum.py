@@ -140,6 +140,24 @@ class TestModulusCertificate:
         with pytest.raises(ValueError):
             min_modulus_certified(Filter((0,), [0.0]))
 
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            [1e308, -1e308, 1e308],
+            np.outer([1, -1, 1], [1, -1, 1]) * 1e308,  # separable: the per-axis route
+            np.outer([1, -1, 1], [1, -1, 1]) * 1e308 * [[1, 1, 1], [1, 1, 1], [1, 1, -1]],
+        ],
+        ids=["1d", "2d-separable", "2d-dense"],
+    )
+    def test_overflowing_taps_raise_at_the_first_grid(self, coeffs, monkeypatch):
+        # numpy warns of the overflow; the sweep stops there instead of doubling on to the cap
+        sizes = []
+        rfftn = np.fft.rfftn
+        monkeypatch.setattr(np.fft, "rfftn", lambda grid, *a, **k: sizes.append(grid.shape[-1]) or rfftn(grid, *a, **k))
+        with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(ValueError, match="overflows the float range"):
+            min_modulus_certified(Filter((0,) * np.ndim(coeffs), coeffs))
+        assert sizes == [64]
+
     def test_grid_cap_checked_before_first_sweep(self):
         # the first dense grid, 64^5 points, is over the cap; the extra
         # corner tap keeps the filter off the rank-1 per-axis route

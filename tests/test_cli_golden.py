@@ -48,6 +48,7 @@ CASES = {
     "invert-2d": ["invert", "--filter", CUBIC_2D, "--radius", "6", "--out", "g.json"],
     "invert-2d-skew": ["invert", "--filter", SKEW_2D, "--radius", "5", "--out", "g.json"],
     "invert-shifted": ["invert", "--filter", _filter([4], [3], CUBIC), "--radius", "20", "--out", "g.json"],
+    "invert-tiny": ["invert", "--filter", _filter([-1], [3], [c * 1e-200 for c in CUBIC]), "--radius", "20", "--out", "g.json"],
     "invert-singular-exit2": ["invert", "--filter", _filter([0], [2], DIFF), "--out", "g.json"],
     "invert-singular-o0": ["invert-singular", "--filter", _filter([0], [2], DIFF), "--radius", "20", "--out", "s.json"],
     "invert-singular-o-1": ["invert-singular", "--filter", _filter([-1], [2], DIFF), "--radius", "20", "--out", "s.json"],
@@ -71,6 +72,7 @@ CASES = {
         "--route", "fourier", "--out", "k.csv",
     ],
     "reproduce": ["reproduce", "--degree", "3", "--target", "absx3", "--x-step", "0.25"],
+    "reproduce-exit2": ["reproduce", "--k-sum", "0"],
     "grs-check-exponential": ["grs-check", "--weight", '{"kind": "exponential", "params": {"r": 0.5}}', "--k", "2"],
     "grs-check-subexponential": [
         "grs-check", "--weight", '{"dim": 2, "kind": "subexponential", "params": {"r": 0.5, "b": 0.5}}', "--k", "1,2",

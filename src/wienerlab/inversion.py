@@ -37,7 +37,7 @@ from .errors import (
     ToleranceUnreachableError,
     WrongBranchError,
 )
-from .lattice import GRID_AXIS_CAP, GRID_POINT_CAP, Box, Filter, as_int, convolve, kronecker
+from .lattice import GRID_AXIS_CAP, GRID_POINT_CAP, Box, Filter, as_int, check_size, convolve, kronecker
 from .spectrum import min_modulus_certified
 
 __all__ = [
@@ -99,15 +99,14 @@ def toeplitz_oracle(h, window_radius):
     keeps M positive definite. M is banded and never formed: its block Cholesky factor,
     computed once from blocks read straight from R, serves the solve and one refinement step,
     whose residual is h~*(delta - h*g). Convolutions are direct: no FFT and no roots.
-    Raises ValueError before allocating a band (3 n^d s entries for blocks of s rows)
-    of more than GRID_POINT_CAP entries.
+    Raises ValueError before allocating a band (3 n^d s points for blocks of s rows)
+    of more than GRID_POINT_CAP points.
     """
     W = _certified_window(h, window_radius, None)
     d, n = h.dim, 2 * W + 1
     # R vanishes beyond lag L_a - 1 on axis a; in row-major order that bounds |i - j|
     bw = sum(min(L - 1, n - 1) * n ** (d - 1 - a) for a, L in enumerate(h.coeffs.shape))
-    if (band := 3 * n**d * max(bw, BAND_BLOCK_MIN)) > GRID_POINT_CAP:
-        raise ValueError(f"window_radius {W} needs a normal-matrix band of {band} > {GRID_POINT_CAP} entries")
+    check_size(3 * n**d * max(bw, BAND_BLOCK_MIN), GRID_POINT_CAP, f"window_radius {W}: normal-matrix band")
     window = Box((-W,) * d, (n,) * d)
     rows = Box(np.subtract(h.origin, W), np.add(h.coeffs.shape, n - 1))  # the support of h*g
     # p >= -1021 keeps 2^-p a float; an even power 2^2p leaves every rounding, square roots too, as at scale 1
@@ -219,8 +218,7 @@ def _invert_stable(h, tail_tol, window_radius, certificate):
     N = FFT_GRID_START
     while N < 2 * W + 2:
         N *= 2
-    if N > GRID_AXIS_CAP:
-        raise ValueError(f"window_radius {W} needs an FFT grid of {N} > {GRID_AXIS_CAP} points per axis")
+    check_size(N, GRID_AXIS_CAP, f"window_radius {W}: FFT grid axis")
     ks = np.arange(-W, W + 1)
     fft, ifft = (np.fft.fftn, np.fft.ifftn) if h.is_complex else (np.fft.rfftn, np.fft.irfftn)
     best_rho, best_bound, best_resid = np.inf, np.inf, np.inf
@@ -470,8 +468,7 @@ def invert_singular_1d(h, window_radius, residual_tol=1e-9):
     # only outer roots give the inverse a part left of the origin, decaying
     # like exp(-rate |k|); reaching 40/rate drops a tail below double precision
     w_neg = min(max(W, int(np.ceil(40.0 / max(_decay_rate([], outer), 1e-3)))), 20 * W) if outer else 0
-    if W + w_neg + 1 > GRID_AXIS_CAP:
-        raise ValueError(f"window_radius {W} needs a window of {W + w_neg + 1} > {GRID_AXIS_CAP} points")
+    check_size(W + w_neg + 1, GRID_AXIS_CAP, f"window_radius {W}: window")
     # h*g is the same sequence for h at any origin once the window moves by -origin
     window = Box((-w_neg - h.origin[0],), (W + w_neg + 1,))
     vals = _laurent_inverse(h, inner + unit, outer).evaluate(window.indices().ravel())

@@ -50,6 +50,12 @@ def as_int(x, name, lo=None, hi=None):
     return x
 
 
+def check_size(count, cap, what):
+    """The one size refusal, made before allocating: ValueError "<what> of <count> points exceeds <cap> points"."""
+    if count > cap:
+        raise ValueError(f"{what} of {count} points exceeds {cap} points")
+
+
 def as_float(x, name):
     """x as a float, for the numbers of the JSON formats: ValueError naming the argument unless an int or a float."""
     if isinstance(x, bool) or not isinstance(x, (int, float)):
@@ -171,8 +177,7 @@ class Filter:
         before allocating when N^d exceeds GRID_POINT_CAP.
         """
         N = as_int(N, "N", 1)
-        if N**self.dim > GRID_POINT_CAP:
-            raise ValueError(f"grid {N}^{self.dim} exceeds {GRID_POINT_CAP} points")
+        check_size(N**self.dim, GRID_POINT_CAP, "torus grid")  # a constant `what`: no f-string per grid level
         grid = np.zeros((N,) * self.dim, dtype=self.coeffs.dtype)
         mesh = np.ix_(*[(np.arange(s) + o) % N for o, s in zip(self.origin, self.coeffs.shape)])
         np.add.at(grid, mesh, self.coeffs)

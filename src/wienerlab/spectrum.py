@@ -285,7 +285,8 @@ def lemma_bound_check(c, n_max):
     log_S[0] = -log_1mq
     if log_S.max() > np.log(np.finfo(float).max):
         raise ValueError(f"S_n = sum k^n e^(-ck) exceeds the float range for c = {c}, n <= {n_max}")
-    R_cap = min(1.0, (1 - q) / (np.e * q)) if q > 0 else 1.0
+    # 1 from c = log(1 + e) on, where (1 - q) / (e q) would overflow; -expm1(-c) is 1 - q without rounding to 0
+    R_cap = min(1.0, -np.expm1(-c) / (np.e * q)) if c < np.log1p(np.e) else 1.0
     R = 0.99 * R_cap
     log_ratio_vs_factorial = log_S + ns * np.log(R) - np.cumsum(np.log(np.maximum(ns, 1)))
     log_M = float(np.max(log_ratio_vs_factorial))

@@ -34,7 +34,7 @@ from .errors import TailBoundError
 from .inversion import DecayReport, invert_exact_1d
 # re-exported only for the install check at bench/test_bench.py:132, which ROADMAP item 0 moves
 from .inversion import invert_stable  # noqa: F401
-from .lattice import GRID_POINT_CAP, Filter, as_int, convolve
+from .lattice import GRID_POINT_CAP, Filter, as_int, check_size, convolve
 
 __all__ = [
     "bspline_value",
@@ -74,11 +74,6 @@ def _grid_points(grid_step):
     if M < 1:
         raise ValueError(f"grid_step must be > 0 with round(1/grid_step) finite and >= 1, got {grid_step!r}")
     return M
-
-
-def _check_kernel_size(points):
-    if points > GRID_POINT_CAP:
-        raise ValueError(f"kernel grid of {points} points exceeds {GRID_POINT_CAP} points")
 
 
 def _bspline_at(n, j, M):
@@ -141,8 +136,7 @@ def bspline_samples(degree, d=1):
     samples, before allocating."""
     n, d = _degree(degree), as_int(d, "d", 1, 64)
     k0 = n // 2
-    if (2 * k0 + 1) ** d > GRID_POINT_CAP:
-        raise ValueError(f"{2 * k0 + 1}^{d} B-spline samples exceed {GRID_POINT_CAP} points")
+    check_size((2 * k0 + 1) ** d, GRID_POINT_CAP, f"B-spline sample grid {2 * k0 + 1}^{d}")
     line = np.array([_bspline_at(n, k, 1) for k in range(-k0, k0 + 1)])
     return Filter((-k0,) * d, reduce(np.multiply.outer, [line] * d))
 
@@ -360,7 +354,7 @@ def lagrange_kernel_space(gen, grid_step=1.0 / 16, K=20):
     r = K + (degree + 1) // 2
     width = 2 * r * M + 1
     # phi's grid has (degree + 1) M + 3 points
-    _check_kernel_size(width + (degree + 1) * M + 2)
+    check_size(width + (degree + 1) * M + 2, GRID_POINT_CAP, "kernel grid")
     upsampled = np.zeros(width)
     upsampled[::M] = _bspline_taps(degree, r)
     # both factors are centred on x = 0, so the middle sample is phi_int(0)
@@ -381,10 +375,10 @@ def lagrange_kernel_fourier(gen, grid_step=1.0 / 16, K=20):
     M, K = _grid_points(grid_step), as_int(K, "K", 0)
     Mf = M if M % 2 == 0 else 2 * M  # the alias sums need an even Mf
     N = 2 * Mf * max(4 * K, 64)  # a shift by 2 pi is N / Mf grid points, an integer
-    _check_kernel_size(N)  # before the rate's constants are built, and again on its grid
+    check_size(N, GRID_POINT_CAP, "kernel grid")  # before the rate's constants are built, and again on its grid
     rate = _decay_rate(gen)
     N = max(N, 2 * Mf * math.ceil(20 / rate))
-    _check_kernel_size(N)
+    check_size(N, GRID_POINT_CAP, "kernel grid")
     # a is even in omega and fftfreq's negatives are exact negations: evaluate
     # it on the half grid and mirror, bit for bit the full-grid values
     half = gen.aliased(2.0 * np.pi * Mf * np.fft.rfftfreq(N), Mf)
@@ -436,9 +430,8 @@ def reproduction_check(p, kernel, target, xs, K_sum, tol=1e-9):
             f"kernel integer_range {kernel.integer_range} < max|x| + K_sum = {x_max + K_sum:g}: "
             "evaluate is 0 past it, a cut the tail bound does not cover"
         )
+    check_size(xs.size * (2 * K_sum + 1), GRID_POINT_CAP, f"reproduction grid {xs.size} x {2 * K_sum + 1}")
     ks = np.arange(-K_sum, K_sum + 1)
-    if xs.size * ks.size > GRID_POINT_CAP:
-        raise ValueError(f"reproduction grid of {xs.size} x {ks.size} points exceeds {GRID_POINT_CAP} points")
     pk = np.asarray(p(ks), dtype=float)
 
     decay = kernel.decay

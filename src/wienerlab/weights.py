@@ -141,7 +141,7 @@ def submultiplicative_check(w, box):
 
 
 def grs_limit(w, k, m_max):
-    """lim_m w[mk]^{1/m}, with samples at m = 1, 2, 4, ..., m_max.
+    """lim_m w[mk]^{1/m}, with samples at m = 1, 2, 4, ..., m_max, 16 <= m_max <= 2^53 (exact floats).
 
     A built-in weight gives its closed-form limit: grs if it is exactly 1,
     else not_grs, whatever m_max. For a custom weight, which the caller
@@ -155,13 +155,13 @@ def grs_limit(w, k, m_max):
         raise ValueError(f"direction k must fit in int64: {exc}") from exc
     if not np.any(k):
         raise ValueError("direction k must be nonzero")
-    m_max = as_int(m_max, "m_max", 16)
+    m_max = as_int(m_max, "m_max", 16, 2**53)
     ms = np.unique(np.append(2.0 ** np.arange(m_max.bit_length()), m_max))
-    # log w[mk]^{1/m} = log w[mk] / m, evaluated in the log domain
-    log_vals = w.log_eval(ms[:, None] * k) / ms
-    # the closed form takes k in floats: an int64 |k|_1 of large entries wraps
-    log_limit = np.min(log_vals) if w._log_limit is None else w._log_limit(k.astype(float))
-    with np.errstate(over="ignore"):  # past e^709.8 a value rounds to inf
+    with np.errstate(over="ignore"):  # a log-weight past the float range is inf, a value past e^709.8 too
+        # log w[mk]^{1/m} = log w[mk] / m, evaluated in the log domain
+        log_vals = w.log_eval(ms[:, None] * k) / ms
+        # the closed form takes k in floats: an int64 |k|_1 of large entries wraps
+        log_limit = np.min(log_vals) if w._log_limit is None else w._log_limit(k.astype(float))
         samples = [(int(m_i), float(v)) for m_i, v in zip(ms, np.exp(log_vals))]
         limit = float(np.exp(log_limit))
     if w._log_limit is None:

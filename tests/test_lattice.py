@@ -35,7 +35,7 @@ from wienerlab import (
     toeplitz_oracle,
     weighted_norm,
 )
-from wienerlab.lattice import as_int
+from wienerlab.lattice import GRID_POINT_CAP, as_int, check_size
 from wienerlab.splines import bspline_grid
 
 
@@ -286,7 +286,7 @@ class TestGridViews:
 
     def test_on_torus_cap_checked_before_allocation(self):
         h = Filter((0,) * 5, np.ones((2,) * 5))
-        with pytest.raises(ValueError, match="exceeds"):
+        with pytest.raises(ValueError, match=f"torus grid of {64**5} points exceeds {GRID_POINT_CAP} points"):
             h.on_torus(64)
 
     @given(st.data())
@@ -484,3 +484,9 @@ class TestIntegerArguments:
             as_int(-1.0, "n", 0)
         with pytest.raises(ValueError, match=r"^n must be in \[0, 60\], got 61$"):
             as_int(np.int8(61), "n", 0, 60)
+
+
+def test_check_size_refuses_only_past_the_cap_in_one_form():
+    check_size(64, 64, "torus grid")
+    with pytest.raises(ValueError, match=r"^torus grid of 65 points exceeds 64 points$"):
+        check_size(65, 64, "torus grid")

@@ -503,6 +503,16 @@ class TestLemmaBound:
         direct[0] = np.logaddexp(0.0, direct[0])  # k = 0 adds 0^0 = 1 to S_0
         np.testing.assert_allclose(lemma_bound_check(c, 40)["log_S"], direct, rtol=0, atol=1e-13)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("c", [1e-300, 1e-17, 1e-10, 740.0])
+    def test_r_at_extreme_c(self, c):
+        # 1 - q rounded to 0 below c = 2^-53 (R = 0, then log(0) and NaN) and
+        # (1 - q) / (e q) overflowed from c = 709.8 on; R is c / e and 1 there
+        res = lemma_bound_check(c, 0)
+        q = np.exp(-c)
+        assert res["R"] == pytest.approx(0.99 * min(1.0, -np.expm1(-c) / (np.e * q)) if c < 2 else 0.99, rel=1e-15)
+        assert res["max_ratio"] == 1.0 and np.isfinite(res["M"])
+
     def test_bad_c(self):
         with pytest.raises(ValueError):
             lemma_bound_check(0.0, 10)

@@ -168,6 +168,14 @@ class TestGrsLimit:
         est = grs_limit(exponential_weight(1e-18, dim=2), [2**62, 2**62], 16)
         assert est.extrapolated_limit == np.exp(1e-18 * 2.0**63) > 1
 
+    def test_m_max_up_to_2_53_samples_exactly_at_it(self):
+        # past 2^53 a float m rounds (2^53 + 1 was sampled at 2^53), and past
+        # int64 the sample grid became an object array that np.exp refused
+        assert grs_limit(polynomial_weight(1), [1], 2**53).samples[-1][0] == 2**53
+        for m_max in (2**53 + 1, 2**63 - 1, 10**23):
+            with pytest.raises(ValueError, match=r"^m_max must be in \[16, 9007199254740992\]"):
+                grs_limit(polynomial_weight(1), [1], m_max)
+
 
 class TestExtendedGrs:
     def test_decreasing_family_infimum(self):

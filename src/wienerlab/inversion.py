@@ -22,10 +22,13 @@ period, g', has ||h*g' - delta||_1 <= rho < 1, then sup |g - g'| <=
 max|g'| rho / (1 - rho), and rho = 2^d ||h||_1 sum |g'| over the band of
 each axis's support width at the period's edge. A band below the FFT's
 roundoff, eps log2(N^d) ||h||_1 max|1/hhat|^2, also ends the doubling.
+A rank-1 tensor h = f_1 x ... x f_d + remainder has 1/hhat = prod_j 1/fhat_j
+up to the remainder, so its grids are the (d, N) grids of its factors.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 
@@ -38,7 +41,7 @@ from .errors import (
     WrongBranchError,
 )
 from .lattice import GRID_AXIS_CAP, GRID_POINT_CAP, Box, Filter, as_int, check_size, convolve, kronecker
-from .spectrum import min_modulus_certified
+from .spectrum import _fold, _sweep_factors, min_modulus_certified
 
 __all__ = [
     "toeplitz_oracle",
@@ -201,6 +204,18 @@ def invert_stable(h, tail_tol=1e-10, window_radius=40, certificate=None):
     ToleranceUnreachableError. A first grid of more than GRID_AXIS_CAP
     points per axis or GRID_POINT_CAP in all, or a tail_tol that is not
     >= 0 (NaN included), raises ValueError.
+
+    A rank-1 tensor h (d >= 2; its fibres f_j through the largest tap leave
+    a remainder r = ||h - f_1 x ... x f_d||_1 <= RANK_ONE_TOL ||h||_1, as
+    in min_modulus_certified) samples the 1/fhat_j on the d rows of one
+    (d, N) grid instead: g_per is the tensor of the rows' inverse DFTs,
+    and every sum and maximum above is a product of the rows' own, the
+    band sum telescoped as sum_j B_j prod_{i<j} I_i prod_{i>j} S_i (S_j a
+    row's sum, B_j its sum on the band, I_j off it). Since ||h*g' -
+    delta||_1 <= ||f*g' - delta||_1 + r ||g'||_1 for f the tensor, rho
+    gains r sum|g'| and ||h||_1 + r bounds ||f||_1. The window is the
+    tensor of the rows' cuts, and the residual is that of h itself. The
+    size rules are those of the N^d grid.
     """
     return _invert_stable(h, tail_tol, window_radius, certificate)[0]
 
@@ -219,31 +234,58 @@ def _invert_stable(h, tail_tol, window_radius, certificate):
     while N < 2 * W + 2:
         N *= 2
     check_size(N, GRID_AXIS_CAP, f"window_radius {W}: FFT grid axis")
+    check_size(N**d, GRID_POINT_CAP, "torus grid")
+    rows, r = _sweep_factors(h)
     ks = np.arange(-W, W + 1)
     fft, ifft = (np.fft.fftn, np.fft.ifftn) if h.is_complex else (np.fft.rfftn, np.fft.irfftn)
+    row_fft, row_ifft = (np.fft.fft, np.fft.ifft) if h.is_complex else (np.fft.rfft, np.fft.irfft)
     best_rho, best_bound, best_resid = np.inf, np.inf, np.inf
     while True:
-        ghat = fft(h.on_torus(N))
-        np.reciprocal(ghat, out=ghat)
-        m = float(np.max(np.abs(ghat)))  # not m ** 2, which raises OverflowError past m = 1.3e154
-        floor = np.finfo(float).eps * d * np.log2(N) * (h_norm * m) * m
-        gper = ifft(ghat, s=(N,) * d, axes=range(d))
-        del ghat  # the 4-D grids are hundreds of MB: free the spectrum first
-        absg = np.abs(gper)
         # centred coordinate q = p + c of each grid index, folded into [-N/2, N/2)
         q = [(np.arange(N) + c + N // 2) % N - N // 2 for c in centre]
-        band = absg[_broadcast([np.abs(qi) > N // 2 - w for qi, w in zip(q, widths)], np.logical_or)]
-        rho = 2**d * h_norm * float(np.sum(band))
-        bound = float(np.max(absg)) * rho / (1.0 - rho) if rho < 1.0 else np.inf
+        in_band = [np.abs(qi) > N // 2 - w for qi, w in zip(q, widths)]
+        if rows is None:
+            ghat = fft(h.on_torus(N))
+            np.reciprocal(ghat, out=ghat)
+            m = float(np.max(np.abs(ghat)))  # not m ** 2, which raises OverflowError past m = 1.3e154
+            gper = ifft(ghat, s=(N,) * d, axes=range(d))
+            del ghat  # the 4-D grids are hundreds of MB: free the spectrum first
+            absg = np.abs(gper)
+            band = absg[_broadcast(in_band, np.logical_or)]
+            rho = 2**d * h_norm * float(np.sum(band))
+            g_max, band_max = float(np.max(absg)), float(np.max(band, initial=0.0))
+        else:
+            # h = f_1 x ... x f_d + remainder: 1/hhat of the tensor is the
+            # product of the rows' 1/fhat_j, and g_per the tensor of the rows
+            ghat = row_fft(_fold(rows, N, h.origin))
+            np.reciprocal(ghat, out=ghat)
+            m = math.prod(np.max(np.abs(ghat), axis=1).tolist())
+            gper = row_ifft(ghat, N)
+            absg = np.abs(gper)
+            on_band = np.where(in_band, absg, 0.0)
+            S, B, top, band_top = (a.tolist() for a in (absg.sum(1), on_band.sum(1), absg.max(1), on_band.max(1)))
+            I = np.where(in_band, 0.0, absg).sum(1).tolist()
+            # the band sum prod S - prod I, telescoped over the axes: no cancellation
+            band_sum = sum(B[j] * math.prod(I[:j]) * math.prod(S[j + 1:]) for j in range(d))
+            # ||h*g' - delta||_1 <= ||f*g' - delta||_1 + ||(h - f)*g'||_1, ||f||_1 <= ||h||_1 + r
+            rho = 2**d * (h_norm + r) * band_sum + r * math.prod(S)
+            g_max = math.prod(top)
+            band_max = max(band_top[j] * math.prod(top[:j] + top[j + 1:]) for j in range(d))
+        floor = np.finfo(float).eps * d * np.log2(N) * (h_norm * m) * m
+        bound = g_max * rho / (1.0 - rho) if rho < 1.0 else np.inf
         best_rho, best_bound = min(best_rho, rho), min(best_bound, bound)
-        at_roundoff = float(np.max(band, initial=0.0)) <= floor
+        at_roundoff = band_max <= floor
         accept = bound <= tail_tol or at_roundoff
         at_cap = N >= GRID_AXIS_CAP or (2 * N) ** d > GRID_POINT_CAP
         if accept or at_cap:
             idx = ks % N
-            g = gper[np.ix_(*([idx] * d))]
             # g' is 0 on the window indices outside D, whose q is not k + c
-            g[~_broadcast([qi[idx] == ks + c for qi, c in zip(q, centre)], np.logical_and)] = 0.0
+            keep = [qi[idx] == ks + c for qi, c in zip(q, centre)]
+            if rows is None:
+                g = gper[np.ix_(*([idx] * d))]
+                g[~_broadcast(keep, np.logical_and)] = 0.0
+            else:  # D is a product set: the cut is the tensor of the rows' cuts
+                g = reduce(np.multiply.outer, [np.where(k, row[idx], 0.0) for k, row in zip(keep, gper)])
             gf = Filter((-W,) * d, g).real_if_close()
             resid = residual_sup(h, gf, verify_radius)
             if accept and resid <= tail_tol:

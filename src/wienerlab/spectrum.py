@@ -130,6 +130,23 @@ def _sweep_factors(h):
     return (rows, r) if r <= RANK_ONE_TOL * np.sum(np.abs(c)) else (None, 0.0)
 
 
+def _fold(rows, N, origin):
+    """The 1-D factors f_1..f_d as the d rows of one (d, N) grid: tap m of
+    f_j, at index origin_j + m, is added to row j, column (origin_j + m) mod N,
+    taps that collide in the order of m."""
+    grid = np.zeros((len(rows), N), np.result_type(*rows))
+    for g, f, o in zip(grid, rows, origin):
+        for s in range(0, len(f), N):  # N taps at a time: each block wraps at most once
+            block, at = f[s:s + N], (o + s) % N
+            g[at:at + len(block)] += block[:N - at]
+            if len(block) > N - at:
+                g[:len(block) - N + at] += block[N - at:]
+    return grid
+
+
+# taps near the float range overflow the moment sums and the FFT; the bound then
+# comes out non-finite and raises the ValueError, so numpy need not warn as well
+@np.errstate(over="ignore", invalid="ignore")
 def min_modulus_certified(h, target_gap=1e-9):
     """Double the sweep grid until |hhat| is certified positive or a
     likely-singular point is found.
@@ -162,10 +179,8 @@ def min_modulus_certified(h, target_gap=1e-9):
     if rows is None:
         L = [_lipschitz(h)]
     else:
-        # tap m of f_j goes to row j, column m mod N, whatever f_j's origin: no shift moves |fhat_j|
-        n = np.array(h.coeffs.shape)
-        row, m, taps = np.repeat(np.arange(h.dim), n), np.concatenate([np.arange(k) for k in n]), np.concatenate(rows)
-        L = np.bincount(row, np.abs(m - (n[row] - 1) / 2) * np.abs(taps)).tolist()  # as _lipschitz(f_j)
+        # as _lipschitz(f_j), its terms summed in order
+        L = [float(np.add.accumulate(np.abs(np.arange(len(f)) - (len(f) - 1) / 2) * np.abs(f))[-1]) for f in rows]
     N = GRID_START
     while True:
         if rows is None:
@@ -176,9 +191,8 @@ def min_modulus_certified(h, target_gap=1e-9):
             i = int(np.argmin(mods))
             mins, idx = [float(mods.flat[i])], np.unravel_index(i, mods.shape)
         else:
-            grid = np.zeros((h.dim, N), h.coeffs.dtype)
-            np.add.at(grid, (row, m % N), taps)
-            mods = np.abs(fft(grid, axes=[-1]))
+            # every factor at origin 0: no shift moves |fhat_j|
+            mods = np.abs(fft(_fold(rows, N, (0,) * h.dim), axes=[-1]))
             idx = np.argmin(mods, axis=1)
             mins = mods[np.arange(h.dim), idx].tolist()
         bounds = [x - l * np.pi / N for x, l in zip(mins, L)]

@@ -1,4 +1,5 @@
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from wienerlab import (
     residual_sup,
     toeplitz_oracle,
 )
-from wienerlab import inversion
+from wienerlab import inversion, spectrum
 
 SQRT3 = np.sqrt(3.0)
 
@@ -296,16 +297,12 @@ class TestInvertStable:
 
 
 def largest_grid(monkeypatch, h, window_radius):
-    """The largest N that invert_stable folds h onto."""
+    """The largest N that invert_stable folds h, or its 1-D factors, onto."""
     cert = min_modulus_certified(h)
     grids = []
-    on_torus = Filter.on_torus
-
-    def spy(self, N):
-        grids.append(N)
-        return on_torus(self, N)
-
-    monkeypatch.setattr(Filter, "on_torus", spy)
+    on_torus, fold = Filter.on_torus, inversion._fold
+    monkeypatch.setattr(Filter, "on_torus", lambda self, N: grids.append(N) or on_torus(self, N))
+    monkeypatch.setattr(inversion, "_fold", lambda rows, N, origin: grids.append(N) or fold(rows, N, origin))
     invert_stable(h, window_radius=window_radius, certificate=cert)
     return max(grids)
 
@@ -326,6 +323,80 @@ class TestGridGrowth:
         roots = rng.uniform(0.4, 0.7, 20) ** rng.choice([-1, 1], 20) * np.exp(1j * rng.uniform(0, 2 * np.pi, 20))
         c = np.poly(roots)
         assert largest_grid(monkeypatch, Filter((0,), c / np.max(np.abs(c))), 134) <= 512
+
+
+def tensor_factor(rng, deg, rate, complex_taps):
+    """Taps of a 1-D filter of degree deg, max |tap| 1, whose inverse decays
+    like rate^|k|: each root has modulus in [rate/4, rate] or its reciprocal."""
+    mods = rng.uniform(rate / 4, rate, deg) ** rng.choice([-1, 1], deg)
+    roots = mods * (np.exp(2j * np.pi * rng.random(deg)) if complex_taps else rng.choice([-1, 1], deg))
+    c = np.poly(roots)
+    return c / np.max(np.abs(c))
+
+
+# per dimension d: the factors' decay rate and largest degree, which keep the
+# dense grid the tensor path is checked against at most 32^4, 128^3 or 512^2
+TENSOR_RATE = {2: (0.6, 3), 3: (0.4, 3), 4: (0.05, 2)}
+
+
+class TestTensorPath:
+    """A rank-1 h = f_1 x ... x f_d is inverted on the (d, N) grid of its
+    factors; the dense N^d grid is the reference."""
+
+    @given(st.integers(2, 4), st.integers(2, 12), st.booleans(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_factors_match_the_dense_grid(self, d, W, complex_taps, seed):
+        rng = np.random.default_rng(seed)
+        rate, deg = TENSOR_RATE[d]
+        rows = [tensor_factor(rng, int(rng.integers(1, deg + 1)), rate, complex_taps) for _ in range(d)]
+        # origins up to +-10 that keep -supp h, where the inverse lives, in the window
+        origin = tuple(int(rng.integers(max(-10, -W), min(10, W + 1 - len(f)) + 1)) for f in rows)
+        h = Filter(origin, reduce(np.multiply.outer, rows))
+        tol, box, verify = 1e-10, Box((-W,) * d, (2 * W + 1,) * d), max(W - h.support.extent, 0)
+        grids, fold = [], inversion._fold
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(inversion, "_fold", lambda rows, N, origin: grids.append(N) or fold(rows, N, origin))
+            g = invert_stable(h, tol, W)
+            assert grids, "the tensor path was not taken"
+            mp.setattr(inversion, "_sweep_factors", lambda h: (None, 0.0))
+            dense = invert_stable(h, tol, W).on_box(box)
+        assert np.max(np.abs(g.on_box(box) - dense)) <= 1e-12 * np.max(np.abs(dense))
+        assert residual_sup(h, g, verify) <= tol
+
+        # 2^k h inverts to 2^-k g bit for bit on the same grids; the aliasing
+        # bound is absolute, so another scale may stop on another grid
+        for k in (300, -300):
+            scaled_grids = []
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(inversion, "_fold", lambda rows, N, origin: scaled_grids.append(N) or fold(rows, N, origin))
+                moved = invert_stable(Filter(origin, h.coeffs * 2.0**k), tol, W)
+            if scaled_grids == grids:
+                assert moved.origin == g.origin
+                np.testing.assert_array_equal(moved.coeffs, g.coeffs * 2.0**-k)
+
+        # a tap off every fibre through the largest one: the factors stay exact
+        # and the remainder r = 0.9 RANK_ONE_TOL ||h||_1 joins the aliasing sum
+        c = h.coeffs.copy()
+        p = np.unravel_index(int(np.argmax(np.abs(c))), c.shape)
+        off = [q for q in np.ndindex(c.shape) if sum(a != b for a, b in zip(q, p)) >= 2]
+        c[off[int(rng.integers(len(off)))]] += 0.9 * spectrum.RANK_ONE_TOL * np.sum(np.abs(c))
+        near = Filter(origin, c)
+        assert inversion._sweep_factors(near)[0] is not None
+        assert residual_sup(near, invert_stable(near, tol, W), verify) <= tol
+
+    def test_4d_tensor_cubic_never_folds_a_dense_grid(self, monkeypatch):
+        # W = 15 starts on a 32^4 grid: 16 MB of complex samples per array on
+        # the dense path, 2 KB on the (4, 32) grid of the factors
+        def refuse(self, N):
+            raise AssertionError(f"dense fold onto {N}^{self.dim}")
+
+        line = np.array([1.0, 4.0, 1.0]) / 6.0
+        h = Filter((-1,) * 4, reduce(np.multiply.outer, [line] * 4))
+        monkeypatch.setattr(Filter, "on_torus", refuse)
+        g = invert_stable(h, 1e-10, 15)
+        assert residual_sup(h, g, 14) <= 1e-10
+        ev = invert_exact_1d(cubic()).evaluate(np.arange(-15, 16))
+        assert np.max(np.abs(g.on_box(Box((-15,) * 4, (31,) * 4)) - reduce(np.multiply.outer, [ev] * 4))) < 1e-12
 
 
 def windowed_matrix(h, W):

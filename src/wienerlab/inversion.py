@@ -234,7 +234,7 @@ def _invert_stable(h, tail_tol, window_radius, certificate):
     while N < 2 * W + 2:
         N *= 2
     check_size(N, GRID_AXIS_CAP, f"window_radius {W}: FFT grid axis")
-    check_size(N**d, GRID_POINT_CAP, "torus grid")
+    check_size(N**d, GRID_POINT_CAP, "torus grid")  # Filter.on_torus's own refusal, kept for the tensor path
     rows, r = _sweep_factors(h)
     ks = np.arange(-W, W + 1)
     fft, ifft = (np.fft.fftn, np.fft.ifftn) if h.is_complex else (np.fft.rfftn, np.fft.irfftn)
@@ -264,9 +264,9 @@ def _invert_stable(h, tail_tol, window_radius, certificate):
             absg = np.abs(gper)
             on_band = np.where(in_band, absg, 0.0)
             S, B, top, band_top = (a.tolist() for a in (absg.sum(1), on_band.sum(1), absg.max(1), on_band.max(1)))
-            I = np.where(in_band, 0.0, absg).sum(1).tolist()
-            # the band sum prod S - prod I, telescoped over the axes: no cancellation
-            band_sum = sum(B[j] * math.prod(I[:j]) * math.prod(S[j + 1:]) for j in range(d))
+            off = np.where(in_band, 0.0, absg).sum(1).tolist()
+            # the band sum prod S - prod off, telescoped over the axes: no cancellation
+            band_sum = sum(B[j] * math.prod(off[:j]) * math.prod(S[j + 1:]) for j in range(d))
             # ||h*g' - delta||_1 <= ||f*g' - delta||_1 + ||(h - f)*g'||_1, ||f||_1 <= ||h||_1 + r
             rho = 2**d * (h_norm + r) * band_sum + r * math.prod(S)
             g_max = math.prod(top)

@@ -334,8 +334,8 @@ def tensor_factor(rng, deg, rate, complex_taps):
     return c / np.max(np.abs(c))
 
 
-# per dimension d: the factors' decay rate and largest degree, which keep the
-# dense grid the tensor path is checked against at most 32^4, 128^3 or 512^2
+# per dimension d: the largest decay rate and degree of a factor, which keep
+# the dense grid the tensor path is checked against at most 32^4, 128^3 or 512^2
 TENSOR_RATE = {2: (0.6, 3), 3: (0.4, 3), 4: (0.05, 2)}
 
 
@@ -348,7 +348,9 @@ class TestTensorPath:
     def test_factors_match_the_dense_grid(self, d, W, complex_taps, seed):
         rng = np.random.default_rng(seed)
         rate, deg = TENSOR_RATE[d]
-        rows = [tensor_factor(rng, int(rng.integers(1, deg + 1)), rate, complex_taps) for _ in range(d)]
+        # a rate per factor: the band of one axis can outweigh the others'
+        rows = [tensor_factor(rng, int(rng.integers(1, deg + 1)), rng.uniform(0.02, rate), complex_taps)
+                for _ in range(d)]
         # origins up to +-10 that keep -supp h, where the inverse lives, in the window
         origin = tuple(int(rng.integers(max(-10, -W), min(10, W + 1 - len(f)) + 1)) for f in rows)
         h = Filter(origin, reduce(np.multiply.outer, rows))
@@ -383,6 +385,15 @@ class TestTensorPath:
         near = Filter(origin, c)
         assert inversion._sweep_factors(near)[0] is not None
         assert residual_sup(near, invert_stable(near, tol, W), verify) <= tol
+
+    def test_window_beyond_the_period_of_a_shifted_tensor(self):
+        # test_window_beyond_the_period_of_a_shifted_filter's cubic at origin
+        # 26 times the centred cubic: the row of the shifted factor must be
+        # cut to the period D as the 1-D window is
+        line = np.array([1.0, 4.0, 1.0]) / 6.0
+        g = invert_stable(Filter((26, -1), np.outer(line, line)), 1e-10, 28)
+        rows = [invert_exact_1d(Filter((o,), line)).evaluate(np.arange(-28, 29)) for o in (26, -1)]
+        np.testing.assert_allclose(g.on_box(Box((-28, -28), (57, 57))), np.outer(*rows), rtol=0, atol=1e-12)
 
     def test_4d_tensor_cubic_never_folds_a_dense_grid(self, monkeypatch):
         # W = 15 starts on a 32^4 grid: 16 MB of complex samples per array on

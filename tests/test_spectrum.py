@@ -15,7 +15,7 @@ from wienerlab import (
     min_modulus_certified,
     symbol_eval,
 )
-from wienerlab.spectrum import EVAL_CHUNK, _lipschitz
+from wienerlab.spectrum import EVAL_CHUNK, _fold, _lipschitz
 
 
 def cubic():
@@ -356,6 +356,17 @@ class TestCertificateProperties:
         assert (cert.grid_size, cert.status) == (64, "certified")
         assert fft_shapes(h) == {(2, 64)}
         assert cert.grid_min == pytest.approx(float(np.min(np.abs(np.fft.fftn(h.on_torus(64))))), rel=1e-13)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.sampled_from([1, 2, 8, 64]), st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_fold_is_the_torus_fold_of_each_factor(self, seed, d, N, complex_taps):
+        # rows of up to 200 taps at origins up to +-1000 wrap and collide on N columns
+        rng = np.random.default_rng(seed)
+        n = rng.integers(1, 201, d)
+        rows = [rng.standard_normal(k) + (1j * rng.standard_normal(k) if complex_taps else 0) for k in n]
+        origin = [int(o) for o in rng.integers(-1000, 1001, d)]
+        want = np.array([Filter((o,), f).on_torus(N) for f, o in zip(rows, origin)])
+        np.testing.assert_array_equal(_fold(rows, N, origin), want)
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 3), st.booleans())
     @settings(max_examples=20, deadline=None)

@@ -2,9 +2,9 @@
 
 Three routes with overlapping domains (they cross-check one another):
 
-  toeplitz_oracle    windowed least squares by its normal equations, whose
-                     matrix is the autocorrelation's Toeplitz matrix: banded,
-                     read block by block, and factored once by block Cholesky
+  toeplitz_oracle    windowed least squares by its normal equations: a banded
+                     Toeplitz matrix read block by block and factored by block LDL^H,
+                     one inverse per Schur complement that differs from the last by > eps
   invert_stable      FFT sampling of 1/hhat with an aliasing bound and a
                      residual contract
   invert_exact_1d    Laurent expansion of 1/hhat by two recurrences, from
@@ -40,7 +40,8 @@ from .errors import (
     ToleranceUnreachableError,
     WrongBranchError,
 )
-from .lattice import GRID_AXIS_CAP, GRID_POINT_CAP, Box, Filter, as_int, check_size, convolve, kronecker
+from .lattice import GRID_AXIS_CAP, GRID_POINT_CAP, Box, Filter, _convolve, as_int, check_size
+from .lattice import convolve  # noqa: F401 -- unused here, but bench/test_bench.py checks its traced binding
 from .spectrum import _fold, _sweep_factors, min_modulus_certified
 
 __all__ = [
@@ -95,79 +96,82 @@ def _certified_window(h, window_radius, certificate):
 def toeplitz_oracle(h, window_radius):
     """Least-squares inverse of h on the window of radius window_radius.
 
-    The equations h*g = delta cover the support of h*g, so the normal matrix is
-    M[i, j] = R[l_i - l_j] for R = h~*h, h~[k] = conj(h[-k]), with h~ on the window as
-    right side; both are divided by 2^2p for 2^p the scale of max |h|, so M stays near 1
-    at any scale of h. By Parseval ||h*g||_2 >= min |hhat| ||g||_2, so the certificate
-    keeps M positive definite. M is banded and never formed: its block Cholesky factor,
-    computed once from blocks read straight from R, serves the solve and one refinement step,
-    whose residual is h~*(delta - h*g). Convolutions are direct: no FFT and no roots.
-    Raises ValueError before allocating a band (3 n^d s points for blocks of s rows)
-    of more than GRID_POINT_CAP points.
+    The equations h*g = delta cover the support of h*g, so the normal matrix is M[i, j] = R[l_i - l_j]
+    for R = h~*h, h~[k] = conj(h[-k]), with right side h~*delta; both are divided by 2^2p for 2^p the
+    scale of max |h|, so M stays near 1 at any scale of h. By Parseval ||h*g||_2 >= min |hhat| ||g||_2,
+    so the certificate keeps M positive definite. M is banded and never formed: _band_ldl factors it as
+    L D L^H block by block from R, and a block that repeats the last one's index pattern and whose Schur
+    complement is the last one's to eps reuses its inverse; later blocks with that pattern are not read.
+    That serves the solve and one refinement step, whose residual is h~*(delta - h*g). Convolutions are
+    direct, on raw arrays: no FFT and no roots. The band, S^{-1} and E per distinct block of s rows and a
+    2s x s transient, fits in 3 n^d s points; past GRID_POINT_CAP, ValueError before allocating.
     """
     W = _certified_window(h, window_radius, None)
-    d, n = h.dim, 2 * W + 1
+    d, n, shape = h.dim, 2 * W + 1, h.coeffs.shape
     # R vanishes beyond lag L_a - 1 on axis a; in row-major order that bounds |i - j|
-    bw = sum(min(L - 1, n - 1) * n ** (d - 1 - a) for a, L in enumerate(h.coeffs.shape))
+    bw = sum(min(L - 1, n - 1) * n ** (d - 1 - a) for a, L in enumerate(shape))
     check_size(3 * n**d * max(bw, BAND_BLOCK_MIN), GRID_POINT_CAP, f"window_radius {W}: normal-matrix band")
-    window = Box((-W,) * d, (n,) * d)
-    rows = Box(np.subtract(h.origin, W), np.add(h.coeffs.shape, n - 1))  # the support of h*g
     # p >= -1021 keeps 2^-p a float; an even power 2^2p leaves every rounding, square roots too, as at scale 1
     p = max(int(np.frexp(np.abs(h.coeffs).max())[1]), -1021)
-    h_adj = Filter(1 - np.add(h.origin, h.coeffs.shape), np.conj(np.flip(h.coeffs)) * 2.0**-p * 2.0**-p)
-    R = convolve(h_adj, h).on_box(Box((-2 * W,) * d, (2 * n - 1,) * d))
-    # R is row-major, so its flat index is linear in the lag: l_i - l_j sits at at[i] - at[j] + at[-1]
-    at = np.ravel_multi_index(np.indices(window.shape).reshape(d, -1), R.shape)
-    solve_flat = _banded_cholesky(lambda r, c: R.take(np.subtract.outer(at[r], at[c] - at[-1])), n**d, bw)
+    h_adj = np.conj(np.flip(h.coeffs)) * 2.0**-p * 2.0**-p  # h~, origin 1 - origin - shape
+    # R = h~*h (lag 0 at index L - 1) cut to the lags -2W..2W, row-major: l_i - l_j is at at[i] - at[j] + at[-1]
+    R = np.pad(_convolve(h_adj, h.coeffs), n - 1)[tuple(slice(L - 1, L + 2 * n - 2) for L in shape)]
+    at = np.ravel_multi_index(np.indices((n,) * d).reshape(d, -1), R.shape)
+    solve = _band_ldl(R.ravel(), at, bw)
+    window = tuple(slice(L - 1, L - 1 + n) for L in shape)  # the window in h~*e, whose origin is 1 - shape - W
+    e = np.zeros(np.add(shape, n - 1))  # delta on the rows, whose origin is origin - W
+    if all(0 <= W - o < s for o, s in zip(h.origin, e.shape)):
+        e[tuple(W - o for o in h.origin)] = 1.0
 
-    def solve(rhs):
-        return solve_flat(rhs.on_box(window).ravel()).reshape(window.shape)
+    def normal_solve(e):
+        return solve(_convolve(h_adj, e)[window].ravel()).reshape((n,) * d)
 
-    g = solve(h_adj)
-    e = kronecker(d).on_box(rows) - convolve(h, Filter(window.origin, g)).on_box(rows)
-    g += solve(convolve(h_adj, Filter(rows.origin, e)))
-    return Filter(window.origin, g)
+    g = normal_solve(e)
+    g += normal_solve(e - _convolve(h.coeffs, g))
+    return Filter((-W,) * d, g)
 
 
-# Rows per block of the banded Cholesky at least: below it the Python loop
+# Rows per block of the band solve at least: below it the Python loop
 # over the blocks costs more than the LAPACK work inside each block
 BAND_BLOCK_MIN = 32
 
 
-def _banded_cholesky(block, n, bw):
-    """solve(b) for the n x n Hermitian positive definite M, zero where |i - j| > bw.
+def _band_ldl(R, at, bw):
+    """solve(b) for the Hermitian positive definite M[i, j] = R[at[i] - at[j] + at[-1]], zero where |i - j| > bw.
 
-    Blocks of s = max(bw, BAND_BLOCK_MIN) rows, read as block(rows, cols) = M[rows, cols],
-    make M block tridiagonal, so M = L L^H with L block lower bidiagonal: D_k = chol(M_kk -
-    C_k C_k^H) on the diagonal and C_{k+1} = M_{k+1,k} D_k^{-H} below it. Each D_k is
-    inverted once; solve runs the block forward and back substitutions.
+    Blocks of s = max(bw, BAND_BLOCK_MIN) rows, the len(at) mod s left over first, make M block tridiagonal,
+    so M = L D L^H, L unit block lower bidiagonal: S_k = M_kk - E_{k-1} M_{k,k-1}^H on D's diagonal and E_k =
+    M_{k+1,k} S_k^{-1} below L's. Without pivoting this is backward stable for positive definite M (Higham,
+    Accuracy and Stability of Numerical Algorithms, ch. 13). solve runs the block substitutions.
 
-    D_k and C_{k+1} depend only on the Schur complement M_kk - C_k C_k^H and on
-    M_{k+1,k}. When both equal block k-1's bit for bit (in 1-D the blocks are
-    Toeplitz and the Schur complement settles after a few blocks), block k-1's
-    D^{-1} and C are reused, which is what factorising again would give."""
-    s = max(bw, BAND_BLOCK_MIN)
-    blocks = [slice(a, a + s) for a in range(0, n, s)]
-    D_inv, C = [], [None]  # C[k] is C_k, below D_{k-1}
-    last = ()  # block k-1's Schur complement and sub-diagonal block
-    for k, b in enumerate(blocks):
-        M_col = block(slice(b.start, b.stop + s), b)  # M_kk over M_{k+1,k}
-        Mkk = M_col[:s] - C[k] @ C[k].conj().T if k else M_col[:s]
-        if last and np.array_equal(Mkk, last[0]) and np.array_equal(M_col[s:], last[1]):
-            D_inv.append(D_inv[-1])
-            C.append(C[-1])
-        else:
-            D_inv.append(np.linalg.inv(np.linalg.cholesky(Mkk)))
-            C.append(M_col[s:] @ D_inv[k].conj().T)  # empty after the last block
-        last = Mkk, M_col[s:]
+    M_kk and M_{k+1,k} depend only on the pattern at[b.start:next.stop] - at[b.start]. When it repeats block
+    k-1's and max|S_k - S_{k-1}| <= eps max|S_k|, block k reuses S_{k-1}^{-1} and E_{k-1}: a change below the
+    factorization's own backward error, decided alike at every power-of-two scale (in 1-D the Schur complement
+    converges to that of the semi-infinite Toeplitz matrix). From then on a block with the same pattern is not
+    read: its M_kk - E_{k-1} M_{k,k-1}^H would be S_k bit for bit."""
+    n, s = len(at), max(bw, BAND_BLOCK_MIN)
+    edges = sorted({0, *range(n % s, n + 1, s)})
+    blocks = [slice(a, z) for a, z in zip(edges, edges[1:])]
+    S_inv, E = [], []  # E[k] is E_k, empty after the last block
+    pat_last = settled = None
+    for k, (a, z) in enumerate(zip(edges, edges[1:])):
+        pat = at[a : edges[min(k + 2, len(blocks))]] - at[a]
+        repeats = np.array_equal(pat, pat_last)
+        if not (repeats and settled):  # else S_k would be S_{k-1} bit for bit: block k is not read
+            M_kk, M_next = np.vsplit(R.take(np.subtract.outer(pat, pat[: z - a] - at[-1])), [z - a])
+            S = M_kk - E[-1] @ below.conj().T if k else M_kk
+            settled = repeats and np.max(np.abs(S - S_last)) <= np.finfo(float).eps * np.max(np.abs(S))
+            pat_last, S_last, below = pat, S, M_next
+        S_inv.append(S_inv[-1] if settled else np.linalg.inv(S))
+        E.append(E[-1] if settled else below @ S_inv[k])
 
     def solve(rhs):
-        y = [D_inv[0] @ rhs[blocks[0]]]
+        y = [rhs[blocks[0]]]
         for k in range(1, len(blocks)):
-            y.append(D_inv[k] @ (rhs[blocks[k]] - C[k] @ y[-1]))
-        x = [D_inv[-1].conj().T @ y[-1]]
+            y.append(rhs[blocks[k]] - E[k - 1] @ y[-1])
+        x = [S_inv[-1] @ y[-1]]
         for k in range(len(blocks) - 2, -1, -1):
-            x.append(D_inv[k].conj().T @ (y[k] - C[k + 1].conj().T @ x[-1]))
+            x.append(S_inv[k] @ y[k] - E[k].conj().T @ x[-1])
         return np.concatenate(x[::-1])
 
     return solve
@@ -391,15 +395,16 @@ class ExactInverse1D:
     decay_rate: float
 
     def evaluate(self, ks):
-        """g[k] for an integer array ks; ValueError for a non-integer or non-finite index."""
+        """g[k] for integer ks; ValueError for a non-integer or non-finite index, or past GRID_POINT_CAP terms."""
         ks = np.atleast_1d(np.asarray(ks))
         if ks.dtype.kind not in "iuf" or not np.all(np.isfinite(ks) & (ks == np.trunc(ks))):
             raise ValueError("indices must be finite integers")
-        ks = ks.astype(int)
-        m = ks + self.k_max  # g[k] = [z^{-m}] 1/Q
+        m = ks.astype(int) + self.k_max  # g[k] = [z^{-m}] 1/Q
+        terms = int(m.max(initial=0)), 1 - int(m.min(initial=1))  # causal m >= 1, anticausal m <= 0
+        check_size(sum(terms), GRID_POINT_CAP, "Laurent series")
         right = m >= 1
-        causal = _series(*self.causal, int(m.max(initial=0)))
-        anticausal = _series(*self.anticausal, int(1 - m.min(initial=1)))
+        causal = _series(*self.causal, terms[0])
+        anticausal = _series(*self.anticausal, terms[1])
         out = np.zeros(len(ks), dtype=np.result_type(causal, anticausal))
         out[right] = causal[m[right] - 1]
         out[~right] = anticausal[-m[~right]]
@@ -407,6 +412,7 @@ class ExactInverse1D:
 
     def to_filter(self, radius):
         radius = as_int(radius, "radius", 0)
+        check_size(max(radius + self.k_max, 0) + max(radius + 1 - self.k_max, 0), GRID_POINT_CAP, "Laurent series")
         ks = np.arange(-radius, radius + 1)
         return Filter((-radius,), self.evaluate(ks))
 

@@ -260,14 +260,18 @@ def convolve(a, b):
         raise TypeError("convolve expects Filter operands")
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    origin = tuple(oa + ob for oa, ob in zip(a.origin, b.origin))
-    if a.dim == 1:
-        return Filter(origin, np.convolve(a.coeffs, b.coeffs))
-    ca, cb = (a.coeffs, b.coeffs) if a.coeffs.size <= b.coeffs.size else (b.coeffs, a.coeffs)
-    out = np.zeros([sa + sb - 1 for sa, sb in zip(ca.shape, cb.shape)], dtype=np.result_type(ca, cb))
-    for idx in zip(*np.nonzero(ca)):
-        out[tuple(slice(i, i + s) for i, s in zip(idx, cb.shape))] += ca[idx] * cb
-    return Filter(origin, out)
+    return Filter(tuple(oa + ob for oa, ob in zip(a.origin, b.origin)), _convolve(a.coeffs, b.coeffs))
+
+
+def _convolve(a, b):
+    """convolve on raw arrays of one dimension, each indexed from its origin."""
+    if a.ndim == 1:
+        return np.convolve(a, b)
+    a, b = (a, b) if a.size <= b.size else (b, a)
+    out = np.zeros([sa + sb - 1 for sa, sb in zip(a.shape, b.shape)], dtype=np.result_type(a, b))
+    for idx in zip(*np.nonzero(a)):
+        out[tuple(slice(i, i + s) for i, s in zip(idx, b.shape))] += a[idx] * b
+    return out
 
 
 def weighted_norm(a, p, w):

@@ -37,7 +37,13 @@ def _filter(origin, shape, coeffs):
 CUBIC = [1 / 6, 4 / 6, 1 / 6]
 CUBIC_1D = _filter([-1], [3], CUBIC)
 CUBIC_2D = _filter([-1, -1], [3, 3], [a * b for a in CUBIC for b in CUBIC])
+CUBIC_3D = _filter([-1] * 3, [3] * 3, [a * b * c for a in CUBIC for b in CUBIC for c in CUBIC])
 CUBIC_4D = _filter([-1] * 4, [3] * 4, [a * b * c * e for a in CUBIC for b in CUBIC for c in CUBIC for e in CUBIC])
+# a rank-1 2-D filter with signed taps, far from the origin
+TENSOR_SHIFTED_2D = _filter([7, -12], [3, 4], [a * b for a in [0.3, 1.0, 0.45] for b in [-0.2, 1.0, 0.35, -0.1]])
+# the 2-D cubic with its corner tap, off both fibres through the centre, moved
+# by half the rank-1 tolerance: it stays on the per-axis route with a remainder
+CUBIC_2D_NEAR = _filter([-1, -1], [3, 3], [CUBIC[0] ** 2 + 0.5e-12] + [a * b for a in CUBIC for b in CUBIC][1:])
 # a non-separable 2-D filter with a dominant centre tap
 SKEW_2D = _filter([-1, 0], [3, 2], [0.1, -0.2, 1.0, 0.3, 0.05, 0.15])
 DIFF = [1.0, -1.0]
@@ -46,6 +52,8 @@ CASES = {
     "invert-1d": ["invert", "--filter", CUBIC_1D, "--radius", "20", "--out", "g.json"],
     "invert-1d-stdout": ["invert", "--filter", CUBIC_1D, "--radius", "12"],
     "invert-2d": ["invert", "--filter", CUBIC_2D, "--radius", "6", "--out", "g.json"],
+    "invert-2d-near-tensor": ["invert", "--filter", CUBIC_2D_NEAR, "--radius", "6", "--out", "g.json"],
+    "invert-3d": ["invert", "--filter", CUBIC_3D, "--radius", "3", "--out", "g.json"],
     "invert-2d-skew": ["invert", "--filter", SKEW_2D, "--radius", "5", "--out", "g.json"],
     "invert-shifted": ["invert", "--filter", _filter([4], [3], CUBIC), "--radius", "20", "--out", "g.json"],
     "invert-tiny": ["invert", "--filter", _filter([-1], [3], [c * 1e-200 for c in CUBIC]), "--radius", "20", "--out", "g.json"],
@@ -60,6 +68,7 @@ CASES = {
     "symbol-min-1d": ["symbol-min", "--filter", CUBIC_1D],
     "symbol-min-2d": ["symbol-min", "--filter", SKEW_2D],
     "symbol-min-4d": ["symbol-min", "--filter", CUBIC_4D],
+    "symbol-min-2d-tensor-shifted": ["symbol-min", "--filter", TENSOR_SHIFTED_2D],
     "symbol-min-singular": ["symbol-min", "--filter", _filter([3], [2], DIFF)],
     "spline-space": ["spline-lagrange", "--degree", "4", "--grid-step", "0.25", "--K", "16", "--out", "k.csv"],
     "spline-both": ["spline-lagrange", "--degree", "3", "--route", "both", "--grid-step", "0.25", "--K", "16", "--out", "k.csv"],

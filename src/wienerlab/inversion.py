@@ -22,8 +22,9 @@ period, g', has ||h*g' - delta||_1 <= rho < 1, then sup |g - g'| <=
 max|g'| rho / (1 - rho), and rho = 2^d ||h||_1 sum |g'| over the band of
 each axis's support width at the period's edge. A band below the FFT's
 roundoff, eps log2(N^d) ||h||_1 max|1/hhat|^2, also ends the doubling.
-A rank-1 tensor h = f_1 x ... x f_d + remainder has 1/hhat = prod_j 1/fhat_j
-up to the remainder, so its grids are the (d, N) grids of its factors.
+The grids hold h's axis groups, as the certificate's: for a rank-1 tensor
+h = f_1 x ... x f_d + remainder, 1/hhat = prod_j 1/fhat_j up to the
+remainder, so its grid is (d, N) instead of N^d.
 """
 
 from __future__ import annotations
@@ -40,9 +41,9 @@ from .errors import (
     ToleranceUnreachableError,
     WrongBranchError,
 )
-from .lattice import GRID_AXIS_CAP, GRID_POINT_CAP, Box, Filter, _convolve, as_int, check_size
+from .lattice import GRID_AXIS_CAP, GRID_POINT_CAP, Box, Filter, _convolve, _fold, as_int, check_size
 from .lattice import convolve  # noqa: F401 -- unused here, but bench/test_bench.py checks its traced binding
-from .spectrum import _fold, _sweep_factors, min_modulus_certified
+from .spectrum import _axis_groups, _fftn, min_modulus_certified
 
 __all__ = [
     "toeplitz_oracle",
@@ -180,10 +181,20 @@ def _band_ldl(R, at, bw):
 # -- FFT route ----------------------------------------------------------------
 
 
-def _broadcast(masks, combine):
-    """The 1-D boolean masks, one per axis, combined over a d-D grid."""
-    d = len(masks)
-    return reduce(combine, (m.reshape([-1 if a == i else 1 for a in range(d)]) for i, m in enumerate(masks)))
+def _over_groups(masks, combine):
+    """Per-axis masks (G, k, n), each group's k of them combined over its (n, ..., n) grid."""
+    G, k, n = masks.shape
+    out = masks[:, 0].reshape((G, n) + (1,) * (k - 1))
+    for a in range(1, k):
+        out = combine(out, masks[:, a].reshape((G,) + (1,) * a + (n,) + (1,) * (k - 1 - a)))
+    return out
+
+
+def _ifftn(spec, N, k, real):
+    """irfftn to N points over the last k axes (ifftn for complex taps): numpy's chain of 1-D transforms, bit for bit."""
+    for axis in range(-k, -1) if real else range(-1, -k - 1, -1):  # irfftn's order, or ifftn's
+        spec = np.fft.ifft(spec, axis=axis)
+    return np.fft.irfft(spec, N) if real else spec
 
 
 def invert_stable(h, tail_tol=1e-10, window_radius=40, certificate=None):
@@ -209,17 +220,15 @@ def invert_stable(h, tail_tol=1e-10, window_radius=40, certificate=None):
     points per axis or GRID_POINT_CAP in all, or a tail_tol that is not
     >= 0 (NaN included), raises ValueError.
 
-    A rank-1 tensor h (d >= 2; its fibres f_j through the largest tap leave
-    a remainder r = ||h - f_1 x ... x f_d||_1 <= RANK_ONE_TOL ||h||_1, as
-    in min_modulus_certified) samples the 1/fhat_j on the d rows of one
-    (d, N) grid instead: g_per is the tensor of the rows' inverse DFTs,
-    and every sum and maximum above is a product of the rows' own, the
-    band sum telescoped as sum_j B_j prod_{i<j} I_i prod_{i>j} S_i (S_j a
-    row's sum, B_j its sum on the band, I_j off it). Since ||h*g' -
-    delta||_1 <= ||f*g' - delta||_1 + r ||g'||_1 for f the tensor, rho
-    gains r sum|g'| and ||h||_1 + r bounds ||f||_1. The window is the
-    tensor of the rows' cuts, and the residual is that of h itself. The
-    size rules are those of the N^d grid.
+    The grid holds h's axis groups (_axis_groups): one group of all d axes,
+    or the d factors f_j of a rank-1 h = f_1 x ... x f_d + remainder r,
+    each folded at h's origin. g_per is the tensor of the groups' inverse
+    DFTs, and every sum and maximum above a product of the groups' own,
+    the band sum telescoped as sum_j B_j prod_{i<j} I_i prod_{i>j} S_i
+    (S_j a group's sum, B_j on its band, the union of its axes' bands, I_j
+    off it). ||h*g' - delta||_1 <= ||f*g' - delta||_1 + r ||g'||_1 for f
+    the tensor, so rho gains r sum|g'| and ||h||_1 + r bounds ||f||_1. The
+    window is the tensor of the groups' cuts; the residual is h's own.
     """
     return _invert_stable(h, tail_tol, window_radius, certificate)[0]
 
@@ -230,52 +239,42 @@ def _invert_stable(h, tail_tol, window_radius, certificate):
         raise ValueError(f"tail_tol must be >= 0, got {tail_tol}")
     W = _certified_window(h, window_radius, certificate)
     d = h.dim
-    verify_radius = max(W - h.support.extent, 0)
-    widths = [n - 1 for n in h.coeffs.shape]
-    centre = [o + (w + 1) // 2 for o, w in zip(h.origin, widths)]
-    h_norm = float(np.sum(np.abs(h.coeffs)))
+    shape = h.coeffs.shape
+    verify_radius = max(W - max(max(abs(o), abs(o + n - 1)) for o, n in zip(h.origin, shape)), 0)  # W - extent
+    # per axis (a column each): c = origin + ceil(w/2) and the support width w = n - 1
+    centre, widths = np.array([[o + n // 2 for o, n in zip(h.origin, shape)], [n - 1 for n in shape]])[:, :, None]
+    h_norm, eps = float(np.abs(h.coeffs).sum()), np.finfo(float).eps
     N = FFT_GRID_START
     while N < 2 * W + 2:
         N *= 2
     check_size(N, GRID_AXIS_CAP, f"window_radius {W}: FFT grid axis")
-    check_size(N**d, GRID_POINT_CAP, "torus grid")  # Filter.on_torus's own refusal, kept for the tensor path
-    rows, r = _sweep_factors(h)
+    check_size(N**d, GRID_POINT_CAP, "torus grid")
+    taps, r = _axis_groups(h)
+    G, k = len(taps), taps.ndim - 1
+    origin = np.array(h.origin).reshape(G, k)
     ks = np.arange(-W, W + 1)
-    fft, ifft = (np.fft.fftn, np.fft.ifftn) if h.is_complex else (np.fft.rfftn, np.fft.irfftn)
-    row_fft, row_ifft = (np.fft.fft, np.fft.ifft) if h.is_complex else (np.fft.rfft, np.fft.irfft)
     best_rho, best_bound, best_resid = np.inf, np.inf, np.inf
     while True:
         # centred coordinate q = p + c of each grid index, folded into [-N/2, N/2)
-        q = [(np.arange(N) + c + N // 2) % N - N // 2 for c in centre]
-        in_band = [np.abs(qi) > N // 2 - w for qi, w in zip(q, widths)]
-        if rows is None:
-            ghat = fft(h.on_torus(N))
-            np.reciprocal(ghat, out=ghat)
-            m = float(np.max(np.abs(ghat)))  # not m ** 2, which raises OverflowError past m = 1.3e154
-            gper = ifft(ghat, s=(N,) * d, axes=range(d))
-            del ghat  # the 4-D grids are hundreds of MB: free the spectrum first
-            absg = np.abs(gper)
-            band = absg[_broadcast(in_band, np.logical_or)]
-            rho = 2**d * h_norm * float(np.sum(band))
-            g_max, band_max = float(np.max(absg)), float(np.max(band, initial=0.0))
-        else:
-            # h = f_1 x ... x f_d + remainder: 1/hhat of the tensor is the
-            # product of the rows' 1/fhat_j, and g_per the tensor of the rows
-            ghat = row_fft(_fold(rows, N, h.origin))
-            np.reciprocal(ghat, out=ghat)
-            m = math.prod(np.max(np.abs(ghat), axis=1).tolist())
-            gper = row_ifft(ghat, N)
-            absg = np.abs(gper)
-            on_band = np.where(in_band, absg, 0.0)
-            S, B, top, band_top = (a.tolist() for a in (absg.sum(1), on_band.sum(1), absg.max(1), on_band.max(1)))
-            off = np.where(in_band, 0.0, absg).sum(1).tolist()
-            # the band sum prod S - prod off, telescoped over the axes: no cancellation
-            band_sum = sum(B[j] * math.prod(off[:j]) * math.prod(S[j + 1:]) for j in range(d))
-            # ||h*g' - delta||_1 <= ||f*g' - delta||_1 + ||(h - f)*g'||_1, ||f||_1 <= ||h||_1 + r
-            rho = 2**d * (h_norm + r) * band_sum + r * math.prod(S)
-            g_max = math.prod(top)
-            band_max = max(band_top[j] * math.prod(top[:j] + top[j + 1:]) for j in range(d))
-        floor = np.finfo(float).eps * d * np.log2(N) * (h_norm * m) * m
+        q = (np.arange(N) + centre + N // 2) % N - N // 2
+        band = _over_groups((np.abs(q) > N // 2 - widths).reshape(G, k, N), np.logical_or).reshape(G, -1)
+        ghat = _fftn(_fold(taps, origin, N), k)
+        np.reciprocal(ghat, out=ghat)
+        m = math.prod(np.abs(ghat).reshape(G, -1).max(1).tolist())  # not m ** 2: OverflowError past 1.3e154
+        gper = _ifftn(ghat, N, k, not h.is_complex)
+        del ghat  # the 4-D grids are hundreds of MB: free the spectrum first
+        absg = np.abs(gper).reshape(G, -1)
+        S, top = absg.sum(1).tolist(), absg.max(1).tolist()
+        I = np.where(band[:-1], 0.0, absg[:-1]).sum(1).tolist()  # off the band: the last group's is not needed
+        np.putmask(absg, ~band, 0.0)  # in place, so no second grid: absg is now |g_per| on the band only
+        B, band_top = absg.sum(1).tolist(), absg.max(1).tolist()
+        # the band sum prod S - prod I, telescoped over the groups: no cancellation
+        band_sum = sum(B[j] * math.prod(I[:j]) * math.prod(S[j + 1:]) for j in range(G))
+        # ||h*g' - delta||_1 <= ||f*g' - delta||_1 + ||(h - f)*g'||_1, ||f||_1 <= ||h||_1 + r
+        rho = 2**d * (h_norm + r) * band_sum + r * math.prod(S)
+        g_max = math.prod(top)
+        band_max = max(band_top[j] * math.prod(top[:j] + top[j + 1:]) for j in range(G))
+        floor = eps * d * math.log2(N) * (h_norm * m) * m
         bound = g_max * rho / (1.0 - rho) if rho < 1.0 else np.inf
         best_rho, best_bound = min(best_rho, rho), min(best_bound, bound)
         at_roundoff = band_max <= floor
@@ -284,13 +283,10 @@ def _invert_stable(h, tail_tol, window_radius, certificate):
         if accept or at_cap:
             idx = ks % N
             # g' is 0 on the window indices outside D, whose q is not k + c
-            keep = [qi[idx] == ks + c for qi, c in zip(q, centre)]
-            if rows is None:
-                g = gper[np.ix_(*([idx] * d))]
-                g[~_broadcast(keep, np.logical_and)] = 0.0
-            else:  # D is a product set: the cut is the tensor of the rows' cuts
-                g = reduce(np.multiply.outer, [np.where(k, row[idx], 0.0) for k, row in zip(keep, gper)])
-            gf = Filter((-W,) * d, g).real_if_close()
+            keep = _over_groups((q[:, idx] == ks + centre).reshape(G, k, -1), np.logical_and)
+            cut = np.where(keep, gper[(slice(None),) + np.ix_(*[idx] * k)], 0.0)
+            # D is a product set: the window is the tensor of the groups' cuts
+            gf = Filter((-W,) * d, reduce(np.multiply.outer, cut)).real_if_close()
             resid = residual_sup(h, gf, verify_radius)
             if accept and resid <= tail_tol:
                 return gf, resid

@@ -169,19 +169,9 @@ class Filter:
         return out
 
     def on_torus(self, N):
-        """h folded onto (Z/N)^d: grid[j] = sum of h[k] over k = j mod N.
-
-        One indexed add of the coefficients at the open mesh of their
-        indices mod N per axis; colliding coefficients add in row-major
-        order. The grid keeps the filter's dtype. Raises ValueError
-        before allocating when N^d exceeds GRID_POINT_CAP.
-        """
-        N = as_int(N, "N", 1)
-        check_size(N**self.dim, GRID_POINT_CAP, "torus grid")  # a constant `what`: no f-string per grid level
-        grid = np.zeros((N,) * self.dim, dtype=self.coeffs.dtype)
-        mesh = np.ix_(*[(np.arange(s) + o) % N for o, s in zip(self.origin, self.coeffs.shape)])
-        np.add.at(grid, mesh, self.coeffs)
-        return grid
+        """h folded onto (Z/N)^d: grid[j] = sum of h[k] over k = j mod N, in
+        h's dtype, by _fold; ValueError before allocating past GRID_POINT_CAP."""
+        return _fold(self.coeffs[None], np.array([self.origin]), as_int(N, "N", 1))[0]
 
     def real_if_close(self):
         """The real part, when no imaginary part exceeds 1e-9 max |h|."""
@@ -207,6 +197,23 @@ class Filter:
         if hasattr(self, "coeffs"):
             raise AttributeError("Filter is immutable")
         object.__setattr__(self, name, value)
+
+
+def _fold(taps, origin, N):
+    """Arrays taps[j] of rank k, tap m at index origin[j] + m, folded side by side onto
+    one (G, N, ..., N) grid of their dtype: grid[j, i] sums taps[j, m] over origin[j] + m = i
+    mod N, in row-major order of m (one indexed add at the open mesh of the indices mod N;
+    zero padding adds nothing). ValueError before allocating past GRID_POINT_CAP points."""
+    G, k = origin.shape
+    check_size(G * N**k, GRID_POINT_CAP, "torus grid")  # a constant `what`: no f-string per grid level
+    grid = np.zeros((G,) + (N,) * k, taps.dtype)
+    # the group index, then each axis's index mod N, as an open mesh over taps' axes
+    at = origin.T.reshape((k, G) + (1,) * k)
+    mesh = [np.arange(G).reshape(at.shape[1:])]
+    for a, n in enumerate(taps.shape[1:]):
+        mesh.append((at[a] + np.arange(n).reshape((n,) + (1,) * (k - 1 - a))) % N)
+    np.add.at(grid, tuple(mesh), taps)
+    return grid
 
 
 def _trim(origin, coeffs):

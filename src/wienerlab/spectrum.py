@@ -7,11 +7,12 @@ centre of the support box, whose partial derivatives are bounded by
 L_j = sum_k |k_j - c_j| |h[k]|. A grid minimum of |hhat| on the N^d grid
 is turned into a certified lower bound over the whole torus by
 subtracting (pi/N) sum_j L_j, a bound that no shift of the support
-changes. A rank-1 tensor filter f_1 x ... x f_d, its factors read off
-its fibres through the largest tap, has the product symbol prod_j fhat_j
-and is swept as d rows of one FFT per grid instead of one N^d grid.
-Real taps give hhat(-w) = conj hhat(w), so a real grid is swept on its
-half spectrum (rfftn) and only complex taps take the full fftn.
+changes. The sweep folds h's axis groups side by side onto one (G, N,
+..., N) grid per size, one FFT over the group axes: a dense h is one
+group of d axes, a rank-1 tensor f_1 x ... x f_d (its fibres through
+the largest tap) d groups of one, its symbol prod_j fhat_j, on a (d, N)
+grid instead of N^d. Real taps give hhat(-w) = conj hhat(w), so a real
+grid is swept on its half spectrum (rfftn), complex taps by fftn.
 symbol_eval sums the taps by blocked Paterson-Stockmeyer evaluation:
 one GEMM per chunk of points, then a short Horner loop.
 """
@@ -24,7 +25,7 @@ from functools import reduce
 
 import numpy as np
 
-from .lattice import GRID_AXIS_CAP, GRID_POINT_CAP, as_int
+from .lattice import GRID_AXIS_CAP, GRID_POINT_CAP, _fold, as_int
 
 __all__ = [
     "symbol_eval",
@@ -103,45 +104,45 @@ class ModulusCertificate:
     status: str  # "certified" | "likely-singular" | "inconclusive"
 
 
-def _lipschitz(h):
-    """sum_k |k - c|_1 |h[k]| for c the centre of the support box, summed
-    axis by axis over the marginals of |h|; no shift of h changes it."""
-    a = np.abs(h.coeffs)
+def _lipschitz(taps, shape):
+    """sum_m |m - c_j|_1 |f_j[m]| per group, f_j = taps[j] and c_j the centre of its box, whose
+    extents are those of h, shape; summed over the marginals of |f_j|. No shift of h changes it."""
+    a = np.abs(taps)
+    G, k = len(a), a.ndim - 1
+    centre = (np.array(shape).reshape(G, k, 1) - 1) / 2
     L = 0.0
-    for j, n in enumerate(a.shape):
-        marginal = a.sum(axis=tuple(i for i in range(a.ndim) if i != j))
-        L += np.abs(np.arange(n) - (n - 1) / 2) @ marginal
-    return float(L)
+    for j in range(k):
+        others = tuple(i for i in range(1, k + 1) if i != j + 1)
+        marginal = a.sum(axis=others) if others else a
+        L += np.vecdot(np.abs(np.arange(a.shape[j + 1]) - centre[:, j]), marginal)
+    return L.tolist()
 
 
-def _sweep_factors(h):
-    """The 1-D factors f_1..f_d of h over its box and the l1 remainder
-    r = ||h - f_1 x ... x f_d||_1 when r <= RANK_ONE_TOL ||h||_1 (d >= 2);
-    otherwise None and r = 0. f_j is the fibre of h along axis j through
-    p = argmax |h|, divided by h[p] for j >= 2: the skeleton (cross)
-    approximation, exact for every separable h, in which no power of h[p]
-    can overflow."""
-    if h.dim == 1:
-        return None, 0.0
+def _axis_groups(h):
+    """The taps of h's factors over equal-rank groups of axes, group j holding axes j k .. (j + 1) k - 1,
+    stacked as a (G, n_1, ..., n_k) array, and the l1 remainder r. A rank-1 h (d >= 2, r = ||h - f_1 x ... x
+    f_d||_1 <= RANK_ONE_TOL ||h||_1) is d one-axis groups, zero-padded: f_j is h's fibre along axis j through
+    p = argmax |h|, over h[p] for j >= 2 (the skeleton approximation: exact for every separable h, and no
+    power of h[p] can overflow). Any other h is one group of all d axes, with r = 0."""
     c = h.coeffs
-    p = np.unravel_index(int(np.argmax(np.abs(c))), c.shape)
-    rows = [c[p[:j] + (slice(None),) + p[j + 1:]] / (c[p] if j else 1) for j in range(h.dim)]
-    r = float(np.sum(np.abs(c - reduce(np.multiply.outer, rows))))
-    return (rows, r) if r <= RANK_ONE_TOL * np.sum(np.abs(c)) else (None, 0.0)
+    if c.ndim > 1:
+        a = np.abs(c)
+        p = np.unravel_index(int(np.argmax(a)), c.shape)
+        taps = np.zeros((c.ndim, max(c.shape)), c.dtype)
+        rows = [np.divide(c[p[:j] + (slice(None),) + p[j + 1:]], c[p] if j else 1, out=taps[j, :n]) for j, n in enumerate(c.shape)]
+        r = float(np.abs(c - reduce(np.multiply.outer, rows)).sum())
+        if r <= RANK_ONE_TOL * a.sum():
+            return taps, r
+    return c[None], 0.0
 
 
-def _fold(rows, N, origin):
-    """The 1-D factors f_1..f_d as the d rows of one (d, N) grid: tap m of
-    f_j, at index origin_j + m, is added to row j, column (origin_j + m) mod N,
-    taps that collide in the order of m."""
-    grid = np.zeros((len(rows), N), np.result_type(*rows))
-    for g, f, o in zip(grid, rows, origin):
-        for s in range(0, len(f), N):  # N taps at a time: each block wraps at most once
-            block, at = f[s:s + N], (o + s) % N
-            g[at:at + len(block)] += block[:N - at]
-            if len(block) > N - at:
-                g[:len(block) - N + at] += block[N - at:]
-    return grid
+def _fftn(grid, k):
+    """rfftn over the last k axes of a real grid, fftn of a complex one, bit for bit: numpy's
+    chain of 1-D transforms, last axis first, without its per-call argument handling."""
+    out = np.fft.fft(grid) if grid.dtype.kind == "c" else np.fft.rfft(grid)
+    for axis in range(-2, -k - 1, -1):
+        out = np.fft.fft(out, axis=axis)
+    return out
 
 
 # taps near the float range overflow the moment sums and the FFT; the bound then
@@ -151,17 +152,17 @@ def min_modulus_certified(h, target_gap=1e-9):
     """Double the sweep grid until |hhat| is certified positive or a
     likely-singular point is found.
 
-    certified_lower_bound = grid_min - L * pi/N, L = sum_k |k - c|_1 |h[k]|
-    the gradient bound of the symbol centred on its support box (c); the
-    bound sandwiches the true minimum: certified_lower_bound <= min |hhat|
-    <= grid_min, and a shift of h changes neither. A rank-1 tensor h
-    (d >= 2, remainder r <= RANK_ONE_TOL ||h||_1 for its fibres through
-    the largest tap) is folded as d rows of one (d, N) grid, swept by one
-    FFT along the rows: grid_min is the product of the rows' minima,
+    The grid holds h's axis groups (_axis_groups): one group of all d
+    axes, or the d factors f_j of a rank-1 h, symbol prod_j fhat_j up to
+    the remainder r; each is folded at origin 0, since no shift moves
+    |fhat_j|. b_j = min |fhat_j| - L_j pi/N, L_j = sum_m |m - c_j|_1
+    |f_j[m]| the gradient bound about the centre c_j of f_j's box, bounds
+    |fhat_j| on the torus. grid_min is the product of the groups' minima,
     argmin the tuple of their argmins, and the bound prod_j b_j - r when
-    every factor's bound b_j is positive, min_j b_j - r otherwise. A dense
-    first grid of more than GRID_POINT_CAP points (d >= 5) raises
-    ValueError, and the dense sweep stops before a grid over the cap.
+    every b_j > 0, else min_j b_j - r: certified_lower_bound <= min |hhat|
+    <= grid_min, bit for bit the same for every shift of h. A first grid
+    of more than GRID_POINT_CAP points (a dense filter of d >= 5) raises
+    ValueError, and the sweep stops before a grid over the cap.
     A real grid is swept on its half spectrum (rfftn), which holds every
     modulus since hhat(-w) = conj hhat(w); its argmin then has w_d in
     [0, pi], pi written -pi. Complex taps are swept by fftn.
@@ -173,46 +174,37 @@ def min_modulus_certified(h, target_gap=1e-9):
         raise ValueError(f"target_gap must be > 0, got {target_gap}")
     if not np.any(h.coeffs):
         raise ValueError("filter is identically zero")
-    rows, r = _sweep_factors(h)
-    # real taps: hhat(-w) = conj hhat(w), so the half spectrum holds every modulus
-    fft = np.fft.fftn if h.is_complex else np.fft.rfftn
-    if rows is None:
-        L = [_lipschitz(h)]
-    else:
-        # as _lipschitz(f_j), its terms summed in order
-        L = [float(np.add.accumulate(np.abs(np.arange(len(f)) - (len(f) - 1) / 2) * np.abs(f))[-1]) for f in rows]
+    taps, r = _axis_groups(h)
+    G, k = len(taps), taps.ndim - 1
+    L = _lipschitz(taps, h.coeffs.shape)
+    origin, groups = np.zeros((G, k), int), np.arange(G)
     N = GRID_START
     while True:
-        if rows is None:
-            # grid stays referenced until |hhat| is taken: freeing it before
-            # np.abs allocates measured a 30 MB higher peak RSS at N=4096, d=2
-            grid = h.on_torus(N)
-            mods = np.abs(fft(grid))
-            i = int(np.argmin(mods))
-            mins, idx = [float(mods.flat[i])], np.unravel_index(i, mods.shape)
-        else:
-            # every factor at origin 0: no shift moves |fhat_j|
-            mods = np.abs(fft(_fold(rows, N, (0,) * h.dim), axes=[-1]))
-            idx = np.argmin(mods, axis=1)
-            mins = mods[np.arange(h.dim), idx].tolist()
+        # grid stays referenced until |hhat| is taken: freeing it before
+        # np.abs allocates measured a 30 MB higher peak RSS at N=4096, d=2
+        grid = _fold(taps, origin, N)
+        mods = np.abs(_fftn(grid, k))
+        flat = mods.reshape(G, -1)
+        i = flat.argmin(axis=1)
+        mins = flat[groups, i].tolist()
         bounds = [x - l * np.pi / N for x, l in zip(mins, L)]
         grid_min = math.prod(mins)
         bound = (math.prod(bounds) if min(bounds) > 0 else min(bounds)) - r
         if not math.isfinite(bound):  # taps whose sums overflow: no finer grid recovers them
             raise ValueError(f"symbol sweep overflows the float range (certified bound {bound}); rescale the filter")
-        argmin = tuple(2 * np.pi * i / N - (2 * np.pi if 2 * i >= N else 0) for i in np.ravel(idx).tolist())
         if bound > 0:
             status = "certified"
         elif grid_min < target_gap:
             status = "likely-singular"
         else:
             status = "inconclusive"
-        cert = ModulusCertificate(N, grid_min, bound, argmin, status)
-        if status != "inconclusive":
-            return cert
-        if N >= GRID_AXIS_CAP or rows is None and (2 * N) ** h.dim > GRID_POINT_CAP:
-            return cert
+        if status != "inconclusive" or N >= GRID_AXIS_CAP or (2 * N) ** k > GRID_POINT_CAP:
+            break
         N *= 2
+    # each group's argmin over its axes, in axis order
+    idx = np.ravel(np.unravel_index(i, mods.shape[1:]), order="F").tolist()
+    argmin = tuple(2 * np.pi * i / N - (2 * np.pi if 2 * i >= N else 0) for i in idx)
+    return ModulusCertificate(N, grid_min, bound, argmin, status)
 
 
 @dataclass(frozen=True)

@@ -313,12 +313,11 @@ class TestInvertStable:
 
 
 def largest_grid(monkeypatch, h, window_radius):
-    """The largest N that invert_stable folds h, or its 1-D factors, onto."""
+    """The largest N that invert_stable folds the axis groups of h onto."""
     cert = min_modulus_certified(h)
     grids = []
-    on_torus, fold = Filter.on_torus, inversion._fold
-    monkeypatch.setattr(Filter, "on_torus", lambda self, N: grids.append(N) or on_torus(self, N))
-    monkeypatch.setattr(inversion, "_fold", lambda rows, N, origin: grids.append(N) or fold(rows, N, origin))
+    fold = inversion._fold
+    monkeypatch.setattr(inversion, "_fold", lambda taps, origin, N: grids.append(N) or fold(taps, origin, N))
     invert_stable(h, window_radius=window_radius, certificate=cert)
     return max(grids)
 
@@ -355,9 +354,15 @@ def tensor_factor(rng, deg, rate, complex_taps):
 TENSOR_RATE = {2: (0.6, 3), 3: (0.4, 3), 4: (0.05, 2)}
 
 
+def fold_shapes(grids):
+    """A stand-in for inversion._fold that appends each grid's shape to grids."""
+    fold = inversion._fold
+    return lambda taps, origin, N: grids.append((len(taps),) + (N,) * (taps.ndim - 1)) or fold(taps, origin, N)
+
+
 class TestTensorPath:
     """A rank-1 h = f_1 x ... x f_d is inverted on the (d, N) grid of its
-    factors; the dense N^d grid is the reference."""
+    factors; the dense grid of one group of d axes is the reference."""
 
     @given(st.integers(2, 4), st.integers(2, 12), st.booleans(), st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)
@@ -371,12 +376,12 @@ class TestTensorPath:
         origin = tuple(int(rng.integers(max(-10, -W), min(10, W + 1 - len(f)) + 1)) for f in rows)
         h = Filter(origin, reduce(np.multiply.outer, rows))
         tol, box, verify = 1e-10, Box((-W,) * d, (2 * W + 1,) * d), max(W - h.support.extent, 0)
-        grids, fold = [], inversion._fold
+        grids = []
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(inversion, "_fold", lambda rows, N, origin: grids.append(N) or fold(rows, N, origin))
+            mp.setattr(inversion, "_fold", fold_shapes(grids))
             g = invert_stable(h, tol, W)
-            assert grids, "the tensor path was not taken"
-            mp.setattr(inversion, "_sweep_factors", lambda h: (None, 0.0))
+            assert grids and all(shape == (d, shape[1]) for shape in grids), "not folded as d one-axis groups"
+            mp.setattr(inversion, "_axis_groups", lambda h: (h.coeffs[None], 0.0))
             dense = invert_stable(h, tol, W).on_box(box)
         assert np.max(np.abs(g.on_box(box) - dense)) <= 1e-12 * np.max(np.abs(dense))
         assert residual_sup(h, g, verify) <= tol
@@ -386,7 +391,7 @@ class TestTensorPath:
         for k in (300, -300):
             scaled_grids = []
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(inversion, "_fold", lambda rows, N, origin: scaled_grids.append(N) or fold(rows, N, origin))
+                mp.setattr(inversion, "_fold", fold_shapes(scaled_grids))
                 moved = invert_stable(Filter(origin, h.coeffs * 2.0**k), tol, W)
             if scaled_grids == grids:
                 assert moved.origin == g.origin
@@ -399,7 +404,7 @@ class TestTensorPath:
         off = [q for q in np.ndindex(c.shape) if sum(a != b for a, b in zip(q, p)) >= 2]
         c[off[int(rng.integers(len(off)))]] += 0.9 * spectrum.RANK_ONE_TOL * np.sum(np.abs(c))
         near = Filter(origin, c)
-        assert inversion._sweep_factors(near)[0] is not None
+        assert len(inversion._axis_groups(near)[0]) == d
         assert residual_sup(near, invert_stable(near, tol, W), verify) <= tol
 
     def test_window_beyond_the_period_of_a_shifted_tensor(self):
@@ -412,15 +417,14 @@ class TestTensorPath:
         np.testing.assert_allclose(g.on_box(Box((-28, -28), (57, 57))), np.outer(*rows), rtol=0, atol=1e-12)
 
     def test_4d_tensor_cubic_never_folds_a_dense_grid(self, monkeypatch):
-        # W = 15 starts on a 32^4 grid: 16 MB of complex samples per array on
-        # the dense path, 2 KB on the (4, 32) grid of the factors
-        def refuse(self, N):
-            raise AssertionError(f"dense fold onto {N}^{self.dim}")
-
+        # W = 15 starts on a 32^4 grid: 16 MB of complex samples per array for
+        # one group of 4 axes, 2 KB on the (4, 32) grid of the factors
+        grids = []
         line = np.array([1.0, 4.0, 1.0]) / 6.0
         h = Filter((-1,) * 4, reduce(np.multiply.outer, [line] * 4))
-        monkeypatch.setattr(Filter, "on_torus", refuse)
+        monkeypatch.setattr(inversion, "_fold", fold_shapes(grids))
         g = invert_stable(h, 1e-10, 15)
+        assert grids and all(shape == (4, shape[1]) for shape in grids)
         assert residual_sup(h, g, 14) <= 1e-10
         ev = invert_exact_1d(cubic()).evaluate(np.arange(-15, 16))
         assert np.max(np.abs(g.on_box(Box((-15,) * 4, (31,) * 4)) - reduce(np.multiply.outer, [ev] * 4))) < 1e-12

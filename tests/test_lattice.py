@@ -284,6 +284,15 @@ class TestGridViews:
         assert got.dtype == h.coeffs.dtype
         np.testing.assert_array_equal(got, torus_reference(h, N))
 
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 200), st.integers(-1000, 1000), st.sampled_from([1, 2, 8, 64]),
+           st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_on_torus_matches_loop_for_long_1d_filters(self, seed, n, origin, N, complex_taps):
+        # up to 200 taps at origins up to +-1000 wrap many times round N points
+        rng = np.random.default_rng(seed)
+        h = Filter((origin,), rng.standard_normal(n) + (1j * rng.standard_normal(n) if complex_taps else 0))
+        np.testing.assert_array_equal(h.on_torus(N), torus_reference(h, N))
+
     def test_on_torus_cap_checked_before_allocation(self):
         h = Filter((0,) * 5, np.ones((2,) * 5))
         with pytest.raises(ValueError, match=f"torus grid of {64**5} points exceeds {GRID_POINT_CAP} points"):

@@ -15,7 +15,9 @@ from wienerlab import (
     min_modulus_certified,
     symbol_eval,
 )
-from wienerlab.spectrum import EVAL_CHUNK, _fold, _lipschitz
+from wienerlab import spectrum
+from wienerlab.lattice import _fold
+from wienerlab.spectrum import EVAL_CHUNK, _lipschitz
 
 
 def cubic():
@@ -131,10 +133,14 @@ class TestModulusCertificate:
         assert cert.certified_lower_bound <= 1.0 / 9
 
     @pytest.mark.parametrize("origin", [1, 1000, 20000])
-    def test_shifted_cubic_certifies_like_centred(self, origin):
+    @pytest.mark.parametrize("theta", [0.0, 0.3], ids=["cubic", "modulated"])
+    def test_shifted_cubic_certifies_like_centred(self, origin, theta):
         # the gradient bound is centred on the support, so the cubic at
-        # origin 20000 no longer ends inconclusive
-        assert_same_certificate(cubic(), Filter((origin,), cubic().coeffs))
+        # origin 20000 no longer ends inconclusive. Modulated by e^{i theta k}
+        # its minimum leaves w = pi, where the FFT's alternating sum is exact
+        # at any origin, so a fold at h's origin would move its bits
+        h = Filter((-1,), cubic().coeffs * np.exp(1j * theta * np.arange(3))) if theta else cubic()
+        assert_shift_invariant(h, (origin + 1,))
 
     def test_zero_filter_rejected(self):
         with pytest.raises(ValueError):
@@ -154,8 +160,8 @@ class TestModulusCertificate:
         # the overflow raises without a numpy warning, and the sweep stops
         # there instead of doubling on to the cap
         sizes = []
-        rfftn = np.fft.rfftn
-        monkeypatch.setattr(np.fft, "rfftn", lambda grid, *a, **k: sizes.append(grid.shape[-1]) or rfftn(grid, *a, **k))
+        fftn = spectrum._fftn
+        monkeypatch.setattr(spectrum, "_fftn", lambda grid, k: sizes.append(grid.shape[-1]) or fftn(grid, k))
         with pytest.raises(ValueError, match="overflows the float range"):
             min_modulus_certified(Filter((0,) * np.ndim(coeffs), coeffs))
         assert sizes == [64]
@@ -177,9 +183,13 @@ class TestModulusCertificate:
         assert cert.certified_lower_bound <= cert.grid_min
 
     def test_lipschitz_bound(self):
-        # the moment is taken about the support centre, so no shift changes it
-        for origin in (-1, 1000):
-            assert _lipschitz(Filter((origin,), cubic().coeffs)) == pytest.approx(1.0 / 3, abs=1e-15)
+        # the moment is taken about each group's centre: the cubic's is 1/3,
+        # a 2-D group sums its axes' moments, and a padded factor keeps its own centre
+        line = cubic().coeffs
+        np.testing.assert_allclose(_lipschitz(line[None], line.shape), [1.0 / 3], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(_lipschitz(np.outer(line, line)[None], (3, 3)), [2.0 / 3], rtol=0, atol=1e-15)
+        rows = np.array([[1.0, 0.0, 0.0, 0.0], [1.0, 4.0, 1.0, 0.0], [1.0, 2.0, 3.0, 4.0]])
+        np.testing.assert_allclose(_lipschitz(rows, (1, 3, 4)), [0.0, 2.0, 10.0], rtol=0, atol=1e-15)
 
 
 def dominant_line(rng, n, complex_ok=False, margin=0.2):
@@ -207,15 +217,12 @@ def outer(lines):
 
 def fft_shapes(h):
     """The shapes of the grids that certifying h hands to the FFT: (d, N)
-    rows on the per-axis route, N^d on the dense one."""
+    for the d one-axis groups of a rank-1 tensor, (1, N, ..., N) for the
+    one group of a dense filter."""
     shapes = set()
+    fftn = spectrum._fftn
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("fftn", "rfftn"):
-            def spy(grid, *args, fft=getattr(np.fft, name), **kwargs):
-                shapes.add(grid.shape)
-                return fft(grid, *args, **kwargs)
-
-            mp.setattr(np.fft, name, spy)
+        mp.setattr(spectrum, "_fftn", lambda grid, k: shapes.add(grid.shape) or fftn(grid, k))
         min_modulus_certified(h)
     return shapes
 
@@ -247,6 +254,12 @@ def assert_same_certificate(h, moved):
     assert b.certified_lower_bound == pytest.approx(a.certified_lower_bound, abs=1e-12 * np.sum(np.abs(h.coeffs)))
 
 
+def assert_shift_invariant(h, shift):
+    # every group is folded at origin 0, so a shift leaves every bit in place
+    moved = Filter(tuple(o + s for o, s in zip(h.origin, shift)), h.coeffs)
+    assert min_modulus_certified(moved) == min_modulus_certified(h)
+
+
 class TestCertificateProperties:
     """|hhat| is unchanged by shifts, conjugation and reflection, so the
     certificate must be too; rank-1 tensors are certified axis by axis."""
@@ -255,8 +268,7 @@ class TestCertificateProperties:
     @settings(max_examples=40, deadline=None)
     def test_shift_invariant(self, seed, s0, s1):
         h = random_filter(seed)
-        shift = (s0, s1)[: h.dim]
-        assert_same_certificate(h, Filter(tuple(o + s for o, s in zip(h.origin, shift)), h.coeffs))
+        assert_shift_invariant(h, (s0, s1)[: h.dim])
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -299,7 +311,7 @@ class TestCertificateProperties:
         h = Filter(tuple(int(o) for o in rng.integers(-1000, 1001, size=d)), coeffs)
         cert = min_modulus_certified(h)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(np.fft, "rfftn", np.fft.fftn)
+            mp.setattr(np.fft, "rfft", np.fft.fft)  # _fftn's chain is then fftn's
             full = min_modulus_certified(h)
         assert (cert.status, cert.grid_size) == (full.status, full.grid_size)
         dense_min = float(np.min(np.abs(np.fft.fftn(h.on_torus(cert.grid_size)))))
@@ -315,7 +327,7 @@ class TestCertificateProperties:
         coeffs = outer([cubic().coeffs] * 2)
         assert fft_shapes(Filter((-1, -1), coeffs)) == {(2, 64)}
         coeffs[0, 1] += 1e-6
-        assert fft_shapes(Filter((-1, -1), coeffs)) == {(64, 64)}
+        assert fft_shapes(Filter((-1, -1), coeffs)) == {(1, 64, 64)}
         assert min_modulus_certified(Filter((-1, -1), coeffs)).status == "certified"
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.booleans())
@@ -359,14 +371,18 @@ class TestCertificateProperties:
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.sampled_from([1, 2, 8, 64]), st.booleans())
     @settings(max_examples=30, deadline=None)
-    def test_fold_is_the_torus_fold_of_each_factor(self, seed, d, N, complex_taps):
-        # rows of up to 200 taps at origins up to +-1000 wrap and collide on N columns
+    def test_fold_stacks_the_torus_fold_of_each_factor(self, seed, d, N, complex_taps):
+        # rows of up to 200 taps at origins up to +-1000, padded with zeros to
+        # the longest, wrap and collide on N columns
         rng = np.random.default_rng(seed)
         n = rng.integers(1, 201, d)
         rows = [rng.standard_normal(k) + (1j * rng.standard_normal(k) if complex_taps else 0) for k in n]
-        origin = [int(o) for o in rng.integers(-1000, 1001, d)]
-        want = np.array([Filter((o,), f).on_torus(N) for f, o in zip(rows, origin)])
-        np.testing.assert_array_equal(_fold(rows, N, origin), want)
+        origin = rng.integers(-1000, 1001, (d, 1))
+        taps = np.zeros((d, max(n)), rows[0].dtype)
+        for t, f in zip(taps, rows):
+            t[: len(f)] = f
+        want = np.array([Filter((int(o),), f).on_torus(N) for f, o in zip(rows, origin[:, 0])])
+        np.testing.assert_array_equal(_fold(taps, origin, N), want)
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 3), st.booleans())
     @settings(max_examples=20, deadline=None)
@@ -379,7 +395,7 @@ class TestCertificateProperties:
             lines = [f * np.exp(2j * np.pi * rng.uniform(size=len(f))) for f in lines]
         coeffs = outer(lines)
         coeffs[tuple(int(rng.integers(n)) for n in coeffs.shape)] += 1e-6 * np.sum(np.abs(coeffs))
-        assert fft_shapes(Filter((0,) * d, coeffs)) == {(64,) * d}
+        assert fft_shapes(Filter((0,) * d, coeffs)) == {(1,) + (64,) * d}
 
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_tensors_certify_without_an_svd(self, monkeypatch, d):

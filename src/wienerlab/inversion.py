@@ -101,8 +101,9 @@ def toeplitz_oracle(h, window_radius):
     for R = h~*h, h~[k] = conj(h[-k]), with right side h~*delta; both are divided by 2^2p for 2^p the
     scale of max |h|, so M stays near 1 at any scale of h. By Parseval ||h*g||_2 >= min |hhat| ||g||_2,
     so the certificate keeps M positive definite. M is banded and never formed: _band_ldl factors it as
-    L D L^H block by block from R, and a block that repeats the last one's index pattern and whose Schur
-    complement is the last one's to eps reuses its inverse; later blocks with that pattern are not read.
+    L D L^H block by block from R, and a block that repeats the last one's index pattern (the last block: its
+    leading rows) and whose Schur complement is the last one's to eps reuses its inverse; later blocks with
+    that pattern are not read.
     That serves the solve and one refinement step, whose residual is h~*(delta - h*g). Convolutions are
     direct, on raw arrays: no FFT and no roots. The band, S^{-1} and E per distinct block of s rows and a
     2s x s transient, fits in 3 n^d s points; past GRID_POINT_CAP, ValueError before allocating.
@@ -146,7 +147,8 @@ def _band_ldl(R, at, bw):
     Accuracy and Stability of Numerical Algorithms, ch. 13). solve runs the block substitutions.
 
     M_kk and M_{k+1,k} depend only on the pattern at[b.start:next.stop] - at[b.start]. When it repeats block
-    k-1's and max|S_k - S_{k-1}| <= eps max|S_k|, block k reuses S_{k-1}^{-1} and E_{k-1}: a change below the
+    k-1's (the last block, which has no next one, repeats the leading rows of a block of its size) and
+    max|S_k - S_{k-1}| <= eps max|S_k|, block k reuses S_{k-1}^{-1} and E_{k-1}: a change below the
     factorization's own backward error, decided alike at every power-of-two scale (in 1-D the Schur complement
     converges to that of the semi-infinite Toeplitz matrix). From then on a block with the same pattern is not
     read: its M_kk - E_{k-1} M_{k,k-1}^H would be S_k bit for bit."""
@@ -157,7 +159,8 @@ def _band_ldl(R, at, bw):
     pat_last = settled = None
     for k, (a, z) in enumerate(zip(edges, edges[1:])):
         pat = at[a : edges[min(k + 2, len(blocks))]] - at[a]
-        repeats = np.array_equal(pat, pat_last)
+        # the last block's pattern has no next block's rows: it repeats the leading rows of one of its size
+        repeats = pat_last is not None and len(S_last) == z - a and np.array_equal(pat, pat_last[: len(pat)])
         if not (repeats and settled):  # else S_k would be S_{k-1} bit for bit: block k is not read
             M_kk, M_next = np.vsplit(R.take(np.subtract.outer(pat, pat[: z - a] - at[-1])), [z - a])
             S = M_kk - E[-1] @ below.conj().T if k else M_kk

@@ -287,7 +287,7 @@ def _invert_stable(h, tail_tol, window_radius, certificate):
             idx = ks % N
             # g' is 0 on the window indices outside D, whose q is not k + c
             keep = _over_groups((q[:, idx] == ks + centre).reshape(G, k, -1), np.logical_and)
-            cut = np.where(keep, gper[(slice(None),) + np.ix_(*[idx] * k)], 0.0)
+            cut = np.where(keep, reduce(lambda g, axis: g.take(idx, axis=axis), range(1, k + 1), gper), 0.0)
             # D is a product set: the window is the tensor of the groups' cuts
             gf = Filter((-W,) * d, reduce(np.multiply.outer, cut)).real_if_close()
             resid = residual_sup(h, gf, verify_radius)

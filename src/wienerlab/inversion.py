@@ -268,9 +268,9 @@ def _invert_stable(h, tail_tol, window_radius, certificate):
         del ghat  # the 4-D grids are hundreds of MB: free the spectrum first
         absg = np.abs(gper).reshape(G, -1)
         S, top = absg.sum(1).tolist(), absg.max(1).tolist()
-        I = np.where(band[:-1], 0.0, absg[:-1]).sum(1).tolist()  # off the band: the last group's is not needed
-        np.putmask(absg, ~band, 0.0)  # in place, so no second grid: absg is now |g_per| on the band only
-        B, band_top = absg.sum(1).tolist(), absg.max(1).tolist()
+        on_band = np.where(band, absg, 0.0)
+        B, band_top = on_band.sum(1).tolist(), on_band.max(1).tolist()
+        I = (absg[:-1] - on_band[:-1]).sum(1).tolist()  # off the band: the last group's is not needed
         # the band sum prod S - prod I, telescoped over the groups: no cancellation
         band_sum = sum(B[j] * math.prod(I[:j]) * math.prod(S[j + 1:]) for j in range(G))
         # ||h*g' - delta||_1 <= ||f*g' - delta||_1 + ||(h - f)*g'||_1, ||f||_1 <= ||h||_1 + r
